@@ -53,9 +53,6 @@ from .models import (
     adapt,
     adjust_nn_arch,
     decode,
-    decode_ac,
-    decode_acd,
-    decode_js,
     evaluate_model,
     load_model,
     predict_corpus,
@@ -79,7 +76,6 @@ from .neural import (
     save_params,
 )
 from .ontology import (
-    ConceptBranch,
     DepthMismatch,
     DisjointnessViolation,
     DuplicateSlot,

@@ -163,61 +163,40 @@ class PredictionLattice:
 
 
 # ---------------------------------------------------------------------------
-# decoding
+# decoding: one batched path for every kind and every caller
 
-def _stage1_probs(model: TaggerModel, tokens) -> list[np.ndarray]:
-    ids = model.vocab.encode(tokens)
-    features = neural.blstm_forward(model.stage1, ids)
-    return [neural.head_forward(head, features) for head in model.stage1.heads]
-
-
-def decode_js(model: TaggerModel, tokens) -> tuple[str, ...]:
-    """Per-position argmax over the joint tag head (ties to lowest index)."""
-    if len(tokens) == 0:
-        return ()
-    probs = _stage1_probs(model, tokens)[0]
-    labels = model.stage1.heads[0].labels
-    return tuple(labels[i] for i in probs.argmax(axis=1))
+def _offsets(items) -> np.ndarray:
+    """Where each item's positions start in a stack of all of them, plus
+    the total."""
+    return np.cumsum([0] + [_item_length(ids) for ids in items], dtype=np.int64)
 
 
-def decode_ac(model: TaggerModel, tokens):
-    """Componentwise argmax over the IOB head and every dimension head.
+def _head_outputs(params: ModelParams, items, keep_probs: bool) -> list[np.ndarray]:
+    """Per head, stacked over the positions of all ``items`` in order: the
+    class probabilities when ``keep_probs``, else the index of the most
+    probable class (ties to the lowest index).
 
-    Maximizing each factor independently maximizes the product of the head
-    probabilities, so this is the top-best hypothesis.  Unregistered
-    branches keep their canonical name and simply score as wrong.  Returns
-    the tag sequence plus per-position (IOB, branch) detail.
+    The BLSTM runs in equal-length groups.  Tagging needs only the argmax,
+    which holds one integer per position instead of one float per class.
     """
-    n = len(tokens)
-    if n == 0:
-        return (), []
-    head_probs = _stage1_probs(model, tokens)
-    heads = model.stage1.heads
-    iob_choice = head_probs[0].argmax(axis=1)
-    dim_choices = [p.argmax(axis=1) for p in head_probs[1:]]
-    tags = []
-    detail = []
-    for t in range(n):
-        iob = heads[0].labels[iob_choice[t]]
-        branch = tuple(
-            heads[d + 1].labels[dim_choices[d][t]] for d in range(len(dim_choices))
-        )
-        detail.append((iob, branch))
-        if iob == "O":
-            tags.append("O")
-        else:
-            tags.append(f"{iob}-{branch_to_slot(model.ontology, branch)}")
-    return tuple(tags), detail
+    offsets = _offsets(items)
+    outputs = [
+        np.empty((offsets[-1], len(head.labels))) if keep_probs
+        else np.empty(offsets[-1], dtype=np.int64)
+        for head in params.heads
+    ]
+    for members, features in neural.blstm_forward_batch(params, items):
+        n = features.shape[1]
+        rows = (offsets[members][:, None] + np.arange(n)).reshape(-1)
+        flat = features.reshape(len(members) * n, -1)
+        for out, head in zip(outputs, params.heads):
+            probs = neural.head_forward(head, flat)
+            out[rows] = probs if keep_probs else probs.argmax(axis=1)
+    return outputs
 
 
-def _stage1_decode(model: TaggerModel, tokens) -> tuple[list[str], list[str]]:
-    """Predicted IOB prefixes and dimension-1 atoms, one per position."""
-    head_probs = _stage1_probs(model, tokens)
-    iob_labels = model.stage1.heads[0].labels
-    dim1_labels = model.stage1.heads[1].labels
-    iob = [iob_labels[i] for i in head_probs[0].argmax(axis=1)]
-    dim1 = [dim1_labels[i] for i in head_probs[1].argmax(axis=1)]
-    return iob, dim1
+def _per_utterance(values, offsets) -> list:
+    return [values[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def bracket_token(atom: str) -> str:
@@ -254,83 +233,109 @@ def gather_sequence(tokens, iob, dim1, unified: bool):
     return gathered, groups
 
 
-def _stage2_dim2(model: TaggerModel, tokens, iob, dim1):
-    """Dimension-2 prediction per original position, plus projected probs."""
-    labels2 = model.stage2.heads[0].labels
-    n = len(tokens)
-    if model.kind in (ACD1, ACD1U):
-        gathered, groups = gather_sequence(tokens, iob, dim1, model.kind == ACD1U)
-        ids = model.stage2_vocab.encode(gathered)
-        features = neural.blstm_forward(model.stage2, ids)
-        probs_g = neural.head_forward(model.stage2.heads[0], features)
-        choice_g = probs_g.argmax(axis=1)
-        dim2 = [NULL_ATOM] * n
-        probs = np.empty((n, len(labels2)))
-        for gi, group in enumerate(groups):
-            for p in group:
-                dim2[p] = labels2[choice_g[gi]]
-                probs[p] = probs_g[gi]
-    else:
+def _stage2_inputs(model: TaggerModel, token_seqs, word_ids, iobs, dim1s):
+    """Stage-2 ids per utterance, and per stage-2 position the original
+    positions it covers.
+
+    ACD1/ACD1U gather the spans that the IOB and dimension-1 labels mark;
+    ACD2 pairs every word with the id of its dimension-1 concept.
+    """
+    items, groups = [], []
+    if model.kind == ACD2:
         concept_index = _index(model.stage1.heads[1].labels)
-        concept_ids = np.fromiter(
-            (concept_index[a] for a in dim1), dtype=np.int64, count=n
-        )
-        word_ids = model.vocab.encode(tokens)
-        features = neural.blstm_forward(model.stage2, (word_ids, concept_ids))
-        probs = neural.head_forward(model.stage2.heads[0], features)
-        dim2 = [labels2[i] for i in probs.argmax(axis=1)]
-    return dim2, probs
+        for ids, dim1 in zip(word_ids, dim1s):
+            n = len(ids)
+            concept_ids = np.fromiter(
+                (concept_index[a] for a in dim1), dtype=np.int64, count=n
+            )
+            items.append((ids, concept_ids))
+            groups.append([[t] for t in range(n)])
+        return items, groups
+    unified = model.kind == ACD1U
+    for tokens, iob, dim1 in zip(token_seqs, iobs, dim1s):
+        gathered, covered = gather_sequence(tokens, iob, dim1, unified)
+        items.append((model.stage2_vocab.encode(gathered),))
+        groups.append(covered)
+    return items, groups
 
 
-def decode_acd(model: TaggerModel, tokens) -> tuple[str, ...]:
-    """Two-stage decoding: stage 1 fixes IOB and dimension 1, stage 2 fills
-    dimension 2 conditioned on those predictions."""
-    if model.kind not in ACD_KINDS:
-        raise ModelError(f"decode_acd needs an ACD model, got {model.kind}")
-    if model.stage2 is None:
-        raise ModelError("stage-2 parameters are missing; run adjust_nn_arch first")
-    if model.ontology.depth != 2:
-        raise ModelError("ACD decoding is defined for two-level ontologies")
-    if len(tokens) == 0:
-        return ()
-    iob, dim1 = _stage1_decode(model, tokens)
-    dim2, _ = _stage2_dim2(model, tokens, iob, dim1)
-    tags = []
-    for t in range(len(tokens)):
-        if iob[t] == "O":
-            tags.append("O")
-        else:
-            slot = branch_to_slot(model.ontology, (dim1[t], dim2[t]))
-            tags.append(f"{iob[t]}-{slot}")
-    return tuple(tags)
+def _label_seqs(labels, choices, offsets) -> list:
+    """Per utterance, the labels of the chosen classes."""
+    return _per_utterance(np.array(labels, dtype=object)[choices], offsets)
+
+
+def _stage1_labels(model: TaggerModel, choices, offsets):
+    """Per utterance, the chosen IOB prefixes and dimension-1 atoms."""
+    heads = model.stage1.heads
+    return (
+        _label_seqs(heads[0].labels, choices[0], offsets),
+        _label_seqs(heads[1].labels, choices[1], offsets),
+    )
+
+
+def _predict(model: TaggerModel, token_seqs, keep_probs: bool):
+    """Head labels, per-head outputs stacked over every position of
+    ``token_seqs`` (see ``_head_outputs``), and each utterance's offset.
+
+    Stage 1 runs over the whole batch; ACD kinds then build the stage-2
+    inputs from the stage-1 argmaxes, run stage 2 over the whole batch and
+    project its dimension-2 outputs back onto the original positions.
+    """
+    if model.kind in ACD_KINDS:
+        if model.stage2 is None:
+            raise ModelError("stage-2 parameters are missing; run adjust_nn_arch first")
+        if model.ontology.depth != 2:
+            raise ModelError("ACD decoding is defined for two-level ontologies")
+    word_ids = [model.vocab.encode(tokens) for tokens in token_seqs]
+    offsets = _offsets(word_ids)
+    outputs = _head_outputs(model.stage1, word_ids, keep_probs)
+    labels = [head.labels for head in model.stage1.heads]
+    if model.kind in ACD_KINDS:
+        choices = [out.argmax(axis=1) if keep_probs else out for out in outputs[:2]]
+        iobs, dim1s = _stage1_labels(model, choices, offsets)
+        items, groups = _stage2_inputs(model, token_seqs, word_ids, iobs, dim1s)
+        sizes = [len(positions) for covered in groups for positions in covered]
+        stage2 = _head_outputs(model.stage2, items, keep_probs)[0]
+        outputs.append(stage2[np.repeat(np.arange(len(sizes)), sizes)])
+        labels.append(model.stage2.heads[0].labels)
+    return tuple(labels), outputs, offsets
+
+
+def _assemble_tags(model: TaggerModel, labels, choices, offsets) -> list[tuple[str, ...]]:
+    """Tags from the chosen class of every head at every position.
+
+    JS reads the joint tag head directly.  AC and ACD take the IOB head and
+    one head per dimension componentwise: maximizing each factor
+    independently maximizes the product of the head probabilities, so this
+    is the top-best hypothesis.  Unregistered branches keep their canonical
+    name and simply score as wrong.
+    """
+    if model.kind == JS:
+        return [tuple(tags) for tags in _label_seqs(labels[0], choices[0], offsets)]
+    chosen = [np.array(l, dtype=object)[c] for l, c in zip(labels, choices)]
+    tags = [
+        "O" if iob == "O" else f"{iob}-{branch_to_slot(model.ontology, tuple(branch))}"
+        for iob, *branch in zip(*chosen)
+    ]
+    return [tuple(t) for t in _per_utterance(tags, offsets)]
 
 
 def decode(model: TaggerModel, tokens) -> tuple[str, ...]:
-    if model.kind == JS:
-        return decode_js(model, tokens)
-    if model.kind == AC:
-        return decode_ac(model, tokens)[0]
-    return decode_acd(model, tokens)
+    """Tags of one utterance, through the same path as ``predict_corpus``."""
+    return _assemble_tags(model, *_predict(model, [tokens], keep_probs=False))[0]
 
 
 def predict_lattice(model: TaggerModel, tokens) -> PredictionLattice:
     """Stage-1 head probabilities; ACD kinds append the projected stage-2
     dimension-2 probabilities."""
-    head_probs = _stage1_probs(model, tokens)
-    labels = [head.labels for head in model.stage1.heads]
-    if model.kind in ACD_KINDS and len(tokens) > 0:
-        iob_labels = model.stage1.heads[0].labels
-        iob = [iob_labels[i] for i in head_probs[0].argmax(axis=1)]
-        dim1_labels = model.stage1.heads[1].labels
-        dim1 = [dim1_labels[i] for i in head_probs[1].argmax(axis=1)]
-        _, probs2 = _stage2_dim2(model, tokens, iob, dim1)
-        head_probs.append(probs2)
-        labels.append(model.stage2.heads[0].labels)
-    return PredictionLattice(tuple(tuple(l) for l in labels), tuple(head_probs))
+    labels, probs, _ = _predict(model, [tokens], keep_probs=True)
+    return PredictionLattice(labels, tuple(probs))
 
 
 def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[tuple[str, ...]]:
-    return [decode(model, u.tokens) for u in corpus]
+    """Tags of every utterance, with each stage batched over the corpus."""
+    token_seqs = [u.tokens for u in corpus]
+    return _assemble_tags(model, *_predict(model, token_seqs, keep_probs=False))
 
 
 def evaluate_model(model: TaggerModel, corpus: Corpus) -> EvalReport:
@@ -464,21 +469,29 @@ def _mean_loss(params: ModelParams, encoded) -> float:
     return total / len(encoded)
 
 
-def _fit(params_factory, encoded, valid_f1, config: TrainingConfig, rng_salt: int):
+def _fit(start, encoded, valid_f1, config: TrainingConfig, rng_salt: int):
     """Grid search over learning rates with per-epoch validation snapshots.
 
-    Every candidate draws from its own RNG stream; shuffling depends only
-    on (seed, epoch) so candidates see the same data order.  The best
-    validation F1 wins, ties going to the earlier grid entry.
+    ``start`` is either a template every candidate copies, whose initial
+    loss is then computed once, or a function drawing fresh parameters from
+    the candidate's RNG.  Every candidate draws from its own RNG stream;
+    shuffling depends only on (seed, epoch) so candidates see the same data
+    order.  The best validation F1 wins, ties going to the earlier grid
+    entry.
     """
     candidates: list[CandidateLog] = []
     chosen = 0
     chosen_key = float("-inf")
     chosen_params = None
+    shared_loss = _mean_loss(start, encoded) if isinstance(start, ModelParams) else None
     for ci, lr in enumerate(config.grid()):
         rng = neural.rng_stream(config.seed, _SALT_INIT, rng_salt, ci)
-        params = params_factory(rng)
-        log = CandidateLog(lr, _mean_loss(params, encoded))
+        if shared_loss is None:
+            params = start(rng)
+            log = CandidateLog(lr, _mean_loss(params, encoded))
+        else:
+            params = start.copy()
+            log = CandidateLog(lr, shared_loss)
         best_params = params.copy()
         for epoch in range(1, config.epochs + 1):
             order = neural.rng_stream(config.seed, _SALT_SHUFFLE, epoch).permutation(
@@ -561,16 +574,15 @@ def train(
         heads=head_labels,
     )
 
-    def factory(rng):
-        if template is not None:
-            return template.copy()
+    def fresh(rng):
         return neural.init_params(shape, rng, config.init_range)
 
     def valid_f1(params):
         probe = TaggerModel(kind, ontology, vocab, params, dims_used)
         return evaluate(valid_corpus, predict_corpus(probe, valid_corpus)).f1
 
-    best_params, log = _fit(factory, encoded, valid_f1, config, rng_salt)
+    start = template if template is not None else fresh
+    best_params, log = _fit(start, encoded, valid_f1, config, rng_salt)
     return TaggerModel(kind, ontology, vocab, best_params, dims_used), log
 
 
@@ -599,13 +611,18 @@ def train_acd(
     _require_nonempty(train_corpus, "training")
     _require_nonempty(valid_corpus, "validation")
     dim2_map = _index(model.stage2.heads[0].labels)
-    concept_map = _index(model.stage1.heads[1].labels)
+    token_seqs = [u.tokens for u in train_corpus]
+    word_ids = [model.vocab.encode(tokens) for tokens in token_seqs]
+    if teacher_forcing:
+        gold_stage1 = [_gold_stage1(ontology, u) for u in train_corpus]
+        iobs = [iob for iob, _ in gold_stage1]
+        dim1s = [dim1 for _, dim1 in gold_stage1]
+    else:
+        choices = _head_outputs(model.stage1, word_ids, keep_probs=False)
+        iobs, dim1s = _stage1_labels(model, choices, _offsets(word_ids))
+    items, groups = _stage2_inputs(model, token_seqs, word_ids, iobs, dim1s)
     encoded = []
-    for u in train_corpus:
-        if teacher_forcing:
-            iob, dim1 = _gold_stage1(ontology, u)
-        else:
-            iob, dim1 = _stage1_decode(model, u.tokens)
+    for u, ids, covered in zip(train_corpus, items, groups):
         gold_atoms = _gold_dim2(ontology, u)
         try:
             gold_ids = [dim2_map[a] for a in gold_atoms]
@@ -613,27 +630,12 @@ def train_acd(
             raise LabelNotInOntology(
                 f"atom {exc.args[0]!r} missing from the dimension-2 head"
             ) from None
-        if model.kind in (ACD1, ACD1U):
-            gathered, groups = gather_sequence(
-                u.tokens, iob, dim1, model.kind == ACD1U
-            )
-            ids = (model.stage2_vocab.encode(gathered),)
-            gold = np.fromiter(
-                (gold_ids[group[0]] for group in groups),
-                dtype=np.int64,
-                count=len(groups),
-            )
-        else:
-            concept_ids = np.fromiter(
-                (concept_map[a] for a in dim1), dtype=np.int64, count=len(u)
-            )
-            ids = (model.vocab.encode(u.tokens), concept_ids)
-            gold = np.asarray(gold_ids, dtype=np.int64)
+        gold = np.fromiter(
+            (gold_ids[positions[0]] for positions in covered),
+            dtype=np.int64,
+            count=len(covered),
+        )
         encoded.append((ids, (gold,)))
-    stage2_template = model.stage2
-
-    def factory(rng):
-        return stage2_template.copy()
 
     def valid_f1(stage2_params):
         probe = TaggerModel(
@@ -642,7 +644,7 @@ def train_acd(
         )
         return evaluate(valid_corpus, predict_corpus(probe, valid_corpus)).f1
 
-    best_stage2, log = _fit(factory, encoded, valid_f1, config, _SALT_STAGE2)
+    best_stage2, log = _fit(model.stage2, encoded, valid_f1, config, _SALT_STAGE2)
     trained = TaggerModel(
         model.kind, ontology, model.vocab, model.stage1,
         model.dims_used, best_stage2, model.stage2_vocab,
@@ -946,21 +948,43 @@ def save_model(model: TaggerModel, directory, config: TrainingConfig | None = No
         fh.write("\n")
 
 
+_MANIFEST_KEYS = ("kind", "dims_used", "files", "vocab_sha256", "ontology_sha256")
+
+
 def load_model(directory) -> TaggerModel:
+    """Read a bundle written by ``save_model``.
+
+    The vocabulary and ontology must match the hashes in the manifest; a
+    missing manifest entry or a mismatch raises ModelError.
+    """
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("format") != MODEL_FORMAT:
         raise ModelError(f"unsupported model format {manifest.get('format')!r}")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ModelError(f"{directory}: the manifest has no {', '.join(missing)}")
     files = manifest["files"]
-    ontology = read_ontology(os.path.join(directory, files["ontology"]))
-    vocab = TokenVocabulary.load(os.path.join(directory, files["vocab"]))
-    stage1 = neural.load_params(os.path.join(directory, files["stage1"]))
+    if not isinstance(files, dict) or not {"ontology", "vocab", "stage1"} <= set(files):
+        raise ModelError(
+            f"{directory}: the manifest lists no ontology, vocab and stage1 files"
+        )
+    paths = {name: os.path.join(directory, base) for name, base in files.items()}
+    if _sha256_file(paths["vocab"]) != manifest["vocab_sha256"]:
+        raise ModelError(f"{paths['vocab']}: does not match the manifest's vocab_sha256")
+    ontology = read_ontology(paths["ontology"])
+    if ontology_hash(ontology) != manifest["ontology_sha256"]:
+        raise ModelError(
+            f"{paths['ontology']}: does not match the manifest's ontology_sha256"
+        )
+    vocab = TokenVocabulary.load(paths["vocab"])
+    stage1 = neural.load_params(paths["stage1"])
     stage2 = None
     stage2_vocab = None
-    if "stage2" in files:
-        stage2 = neural.load_params(os.path.join(directory, files["stage2"]))
-    if "stage2_vocab" in files:
-        stage2_vocab = TokenVocabulary.load(os.path.join(directory, files["stage2_vocab"]))
+    if "stage2" in paths:
+        stage2 = neural.load_params(paths["stage2"])
+    if "stage2_vocab" in paths:
+        stage2_vocab = TokenVocabulary.load(paths["stage2_vocab"])
     return TaggerModel(
         manifest["kind"], ontology, vocab, stage1,
         manifest["dims_used"], stage2, stage2_vocab,

@@ -73,14 +73,6 @@ class DimensionVocabulary:
 
 
 @dataclass(frozen=True)
-class ConceptBranch:
-    """One registered slot: its name plus one atom per dimension."""
-
-    slot: str
-    atoms: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Ontology:
     """Immutable collection of slots over ``depth`` disjoint dimensions."""
 
@@ -256,7 +248,6 @@ def write_ontology(ontology: Ontology, path) -> None:
 def parse_ontology(text: str) -> Ontology:
     depth = None
     entries: list[tuple[str, tuple[str, ...]]] = []
-    entry_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -275,7 +266,6 @@ def parse_ontology(text: str) -> Ontology:
                 f"expected slot plus {depth} atoms, got {len(parts)} fields", lineno
             )
         entries.append((parts[0], tuple(parts[1:])))
-        entry_lines.append(lineno)
     if depth is None:
         raise OntologyFormatError("missing dims=<k> header")
     return build_ontology(depth, entries)

@@ -190,6 +190,22 @@ def test_eval_pred_and_model_routes_agree(workspace, trained, tmp_path, capsys):
     )
 
 
+def test_eval_with_a_truncated_checkpoint_is_a_data_error(
+    trained, workspace, tmp_path, capsys
+):
+    import shutil
+
+    bundle = tmp_path / "model"
+    shutil.copytree(trained / "model", bundle)
+    stage1 = bundle / "stage1.txt"
+    lines = stage1.read_text().splitlines(keepends=True)
+    stage1.write_text("".join(lines[: len(lines) // 2]))
+    assert run_command([
+        "eval", "--test", str(workspace["test"]), "--model", str(bundle),
+    ]) == 2
+    capsys.readouterr()
+
+
 def test_eval_requires_exactly_one_source(workspace, trained):
     assert run_command(["eval", "--test", str(workspace["test"])]) == 1
     assert run_command([

@@ -21,12 +21,12 @@ from atomslot.models import (
     adjust_nn_arch,
     bracket_token,
     decode,
-    decode_acd,
     dim_head_labels,
     evaluate_model,
     gather_sequence,
     js_head_labels,
     load_model,
+    predict_corpus,
     predict_lattice,
     run_experiment,
     save_model,
@@ -467,12 +467,15 @@ def test_adapt_teacher_forcing_runs():
 
 def test_decode_acd_guards():
     ontology, source_ontology, source = source_setup()
-    js = tagger(JS, ontology, target_corpus())
-    with pytest.raises(ModelError):
-        decode_acd(js, ("a",))
     bare = tagger(ACD1, source_ontology, source, dims_used=1)
     with pytest.raises(ModelError):
-        decode_acd(bare, ("a",))
+        decode(bare, ("a",))
+    with pytest.raises(ModelError):
+        predict_corpus(bare, target_corpus())
+    shallow = adjust_nn_arch(bare, source_ontology, ontology, seed=0)
+    shallow.ontology = source_ontology
+    with pytest.raises(ModelError):
+        decode(shallow, ("a",))
 
 
 def test_train_acd_requires_stage2():
@@ -534,3 +537,59 @@ def test_load_model_rejects_unknown_format(tmp_path):
     (bundle / "manifest.json").write_text(json.dumps({"format": "nope"}))
     with pytest.raises(ModelError):
         load_model(bundle)
+
+
+def _saved_js_bundle(tmp_path):
+    ontology = target_ontology()
+    corpus, valid = prepared_target()
+    model, _ = train(JS, ontology, corpus, valid, TINY)
+    save_model(model, tmp_path / "bundle", TINY)
+    return tmp_path / "bundle"
+
+
+def test_load_model_rejects_a_shortened_vocabulary(tmp_path):
+    bundle = _saved_js_bundle(tmp_path)
+    vocab = bundle / "vocab.txt"
+    vocab.write_text("".join(vocab.read_text().splitlines(keepends=True)[:-5]))
+    with pytest.raises(ModelError):
+        load_model(bundle)
+
+
+def test_load_model_rejects_a_renamed_slot(tmp_path):
+    bundle = _saved_js_bundle(tmp_path)
+    ontology = bundle / "ontology.txt"
+    ontology.write_text(ontology.read_text().replace("to.city\t", "dest.city\t"))
+    with pytest.raises(ModelError):
+        load_model(bundle)
+
+
+def test_load_model_rejects_a_manifest_without_files(tmp_path):
+    import json
+
+    bundle = _saved_js_bundle(tmp_path)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    del manifest["files"]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ModelError):
+        load_model(bundle)
+
+
+def test_shared_template_computes_the_initial_loss_once(monkeypatch):
+    ontology = target_ontology()
+    corpus, valid = prepared_target()
+    grid = TrainingConfig(
+        epochs=1, dropout=0.0, emb_dim=4, hidden=4, seed=0, lr_grid=(0.01, 0.02, 0.03)
+    )
+    calls = []
+    real = neural.sequence_loss
+    monkeypatch.setattr(
+        neural, "sequence_loss", lambda *args: calls.append(1) or real(*args)
+    )
+    model, fresh_log = train(JS, ontology, corpus, valid, grid)
+    assert len(calls) == 3
+    calls.clear()
+    _, tuned_log = train(JS, ontology, corpus, valid, grid, initial=model)
+    assert len(calls) == 1
+    losses = {c.initial_loss for c in tuned_log.candidates}
+    assert len(losses) == 1
+    assert len({c.initial_loss for c in fresh_log.candidates}) == 3

@@ -354,6 +354,40 @@ def test_load_rejects_garbage(tmp_path):
         load_params(path)
 
 
+def _corrupt_truncated(lines):
+    return lines[: len(lines) // 2]
+
+
+def _corrupt_short_row(lines):
+    row = next(k for k, line in enumerate(lines) if line.startswith("block\t")) + 1
+    lines[row] = lines[row].rsplit(" ", 1)[0]
+    return lines
+
+
+def _corrupt_non_numeric(lines):
+    row = next(k for k, line in enumerate(lines) if line.startswith("block\tfwd.b")) + 1
+    lines[row] = "x" + lines[row][1:]
+    return lines
+
+
+def _corrupt_missing_block(lines):
+    start = next(k for k, line in enumerate(lines) if line.startswith("block\thead0.b"))
+    return lines[:start]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_corrupt_truncated, _corrupt_short_row, _corrupt_non_numeric, _corrupt_missing_block],
+)
+def test_load_rejects_damaged_checkpoints(tmp_path, corrupt):
+    path = tmp_path / "params.txt"
+    save_params(small_params(seed=2), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(corrupt(lines)) + "\n")
+    with pytest.raises(NeuralError):
+        load_params(path)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
