@@ -15,7 +15,7 @@ computed once and shared where two systems need the same one.
 import time
 
 from atomslot.corpus import builtin_flight_grammar, generate_synthetic, relabel_collapse
-from atomslot.models import AC, ACD_KINDS, PRESETS, evaluate_model, run_experiment
+from atomslot.models import PRESETS, evaluate_model, run_experiment, source_key
 from atomslot.neural import TrainingConfig
 from atomslot.ontology import collapse_ontology
 
@@ -43,9 +43,9 @@ scores = {}
 cache = {}
 started = time.monotonic()
 for system in SYSTEMS:
-    kind, uses_source = PRESETS[system]
+    uses_source = PRESETS[system][1]
     # AC_TS and ACD_TS_1 share the dimension-1 source model.
-    key = (AC, 1) if kind in ACD_KINDS else (kind, source_ontology.depth)
+    key = source_key(system, source_ontology)
     for size in SIZES:
         result = run_experiment(
             system, source_ontology, ontology,

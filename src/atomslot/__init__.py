@@ -49,6 +49,7 @@ from .models import (
     PredictionLattice,
     PRESETS,
     TaggerModel,
+    TrainingDiverged,
     TrainLog,
     adapt,
     adjust_nn_arch,

@@ -29,7 +29,7 @@ from .corpus import (
     write_corpus,
 )
 from .evaluation import EvalError, evaluate
-from .models import ACD_KINDS, AC, PRESETS, ModelError
+from .models import PRESETS, ModelError
 from .neural import NeuralError, ShapeSpec, TrainingConfig
 from .ontology import (
     OntologyError,
@@ -331,14 +331,9 @@ def _cmd_curve(args) -> int:
     source_cache: dict[tuple, models.TaggerModel] = {}
     rows = ["system\tsize\tf1"]
     for system in systems:
-        kind, uses_source = PRESETS[system]
-        cache_key = None
-        if uses_source:
-            if source_ontology is None:
-                raise UsageError(f"system {system} needs --source-ontology")
-            stage1_kind = AC if kind in ACD_KINDS else kind
-            dims = 1 if kind in ACD_KINDS else source_ontology.depth
-            cache_key = (stage1_kind, dims)
+        if PRESETS[system][1] and source_ontology is None:
+            raise UsageError(f"system {system} needs --source-ontology")
+        cache_key = models.source_key(system, source_ontology)
         for size in sizes:
             result = models.run_experiment(
                 system, source_ontology, target_ontology,

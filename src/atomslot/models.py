@@ -35,8 +35,6 @@ from .corpus import (
 )
 from .evaluation import EvalReport, evaluate
 from .neural import (
-    EmbeddingTable,
-    LstmCellParams,
     ModelParams,
     ShapeSpec,
     SoftmaxHead,
@@ -94,6 +92,10 @@ class EmptyCorpus(ModelError):
 
 class LabelNotInOntology(ModelError):
     """A corpus tag names a slot the ontology does not register."""
+
+
+class TrainingDiverged(ModelError):
+    """Every learning-rate candidate met a non-finite gradient."""
 
 
 # ---------------------------------------------------------------------------
@@ -347,68 +349,38 @@ def evaluate_model(model: TaggerModel, corpus: Corpus) -> EvalReport:
 # ---------------------------------------------------------------------------
 # gold-label encoding
 
-def _encode_gold_js(head_map, utterance):
-    ids = np.empty(len(utterance), dtype=np.int64)
-    for t, tag in enumerate(utterance.tags):
-        got = head_map.get(tag)
-        if got is None:
-            raise LabelNotInOntology(f"tag {tag!r} is not derivable from the ontology")
-        ids[t] = got
-    return (ids,)
-
-
-def _encode_gold_ac(ontology, maps, utterance, dims_used):
-    n = len(utterance)
-    iob_ids = np.empty(n, dtype=np.int64)
-    dim_ids = [np.empty(n, dtype=np.int64) for _ in range(dims_used)]
-    for t, tag in enumerate(utterance.tags):
-        prefix, slot = parse_tag(tag)
-        iob_ids[t] = maps[0][prefix]
-        if prefix == "O":
-            atoms = (NULL_ATOM,) * ontology.depth
-        else:
-            atoms = ontology.branches.get(slot)
-            if atoms is None:
-                raise LabelNotInOntology(f"slot {slot!r} is not in the ontology")
-        for d in range(dims_used):
-            got = maps[d + 1].get(atoms[d])
-            if got is None:
-                raise LabelNotInOntology(
-                    f"atom {atoms[d]!r} missing from the dimension-{d + 1} head"
-                )
-            dim_ids[d][t] = got
-    return (iob_ids, *dim_ids)
-
-
-def _gold_stage1(ontology, utterance):
-    """Gold IOB prefixes and dimension-1 atoms (for teacher forcing)."""
-    iob = []
-    dim1 = []
+def gold_branches(
+    ontology: Ontology, utterance
+) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The gold IOB prefix and branch at every position of a tagged
+    utterance; ``O`` positions get the all-null branch.  A tag naming a
+    slot the ontology does not register raises LabelNotInOntology."""
+    outside = (NULL_ATOM,) * ontology.depth
+    prefixes, branches = [], []
     for tag in utterance.tags:
         prefix, slot = parse_tag(tag)
-        iob.append(prefix)
+        prefixes.append(prefix)
         if prefix == "O":
-            dim1.append(NULL_ATOM)
-        else:
-            branch = ontology.branches.get(slot)
-            if branch is None:
-                raise LabelNotInOntology(f"slot {slot!r} is not in the ontology")
-            dim1.append(branch[0])
-    return iob, dim1
-
-
-def _gold_dim2(ontology, utterance):
-    atoms = []
-    for tag in utterance.tags:
-        prefix, slot = parse_tag(tag)
-        if prefix == "O":
-            atoms.append(NULL_ATOM)
+            branches.append(outside)
             continue
         branch = ontology.branches.get(slot)
         if branch is None:
             raise LabelNotInOntology(f"slot {slot!r} is not in the ontology")
-        atoms.append(branch[1])
-    return atoms
+        branches.append(branch)
+    return prefixes, branches
+
+
+def _label_ids(index: dict[str, int], labels, head: str) -> np.ndarray:
+    """Class ids of ``labels`` in one head; a label the head lacks raises
+    LabelNotInOntology."""
+    try:
+        return np.fromiter(
+            (index[label] for label in labels), dtype=np.int64, count=len(labels)
+        )
+    except KeyError as exc:
+        raise LabelNotInOntology(
+            f"label {exc.args[0]!r} is missing from the {head} head"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +400,8 @@ class CandidateLog:
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_f1: float | None = None
+    # the epoch in which a gradient went non-finite; training stopped there
+    diverged_epoch: int | None = None
 
 
 @dataclass
@@ -448,6 +422,10 @@ def format_train_log(log: TrainLog) -> str:
             lines.append(
                 f"{ci}\t{cand.learning_rate:g}\t{stats.epoch}"
                 f"\t{stats.train_loss:.6f}\t{stats.valid_f1:.2f}"
+            )
+        if cand.diverged_epoch is not None:
+            lines.append(
+                f"{ci}\t{cand.learning_rate:g}\t{cand.diverged_epoch}\tdiverged\t-"
             )
     lines.append(f"# chosen candidate: {log.chosen}")
     return "\n".join(lines)
@@ -478,6 +456,10 @@ def _fit(start, encoded, valid_f1, config: TrainingConfig, rng_salt: int):
     shuffling depends only on (seed, epoch) so candidates see the same data
     order.  The best validation F1 wins, ties going to the earlier grid
     entry.
+
+    A candidate whose gradient goes non-finite stops there and is logged
+    as diverged; it keeps its best snapshot so far, and the grid goes on.
+    Only when every candidate diverges does training fail.
     """
     candidates: list[CandidateLog] = []
     chosen = 0
@@ -498,17 +480,21 @@ def _fit(start, encoded, valid_f1, config: TrainingConfig, rng_salt: int):
                 len(encoded)
             )
             total = 0.0
-            for i in order:
-                ids, gold = encoded[i]
-                masks = neural.make_dropout_masks(
-                    rng, config.dropout, _item_length(ids),
-                    params.input_dim, params.hidden,
-                )
-                loss, grads = neural.loss_and_gradients(
-                    params, [(ids, gold)], [masks] if masks is not None else None
-                )
-                neural.sgd_step(params, grads, lr)
-                total += loss
+            try:
+                for i in order:
+                    ids, gold = encoded[i]
+                    masks = neural.make_dropout_masks(
+                        rng, config.dropout, _item_length(ids),
+                        params.input_dim, params.hidden,
+                    )
+                    loss, grads = neural.loss_and_gradients(
+                        params, [(ids, gold)], [masks] if masks is not None else None
+                    )
+                    neural.sgd_step(params, grads, lr)
+                    total += loss
+            except neural.NonFiniteGradient:
+                log.diverged_epoch = epoch
+                break
             f1 = valid_f1(params)
             log.epochs.append(EpochStats(epoch, total / len(encoded), f1))
             if log.best_f1 is None or f1 > log.best_f1:
@@ -519,6 +505,9 @@ def _fit(start, encoded, valid_f1, config: TrainingConfig, rng_salt: int):
         key = log.best_f1 if log.best_f1 is not None else float("-inf")
         if chosen_params is None or key > chosen_key:
             chosen, chosen_key, chosen_params = ci, key, best_params
+    if all(c.diverged_epoch is not None for c in candidates):
+        rates = ", ".join(f"{c.learning_rate:g}" for c in candidates)
+        raise TrainingDiverged(f"every learning-rate candidate diverged ({rates})")
     return chosen_params, TrainLog(candidates, chosen)
 
 
@@ -564,9 +553,13 @@ def train(
     for u in train_corpus:
         ids = vocab.encode(u.tokens)
         if kind == JS:
-            gold = _encode_gold_js(maps[0], u)
+            gold = (_label_ids(maps[0], u.tags, "joint-slot"),)
         else:
-            gold = _encode_gold_ac(ontology, maps, u, dims_used)
+            prefixes, branches = gold_branches(ontology, u)
+            gold = (_label_ids(maps[0], prefixes, "IOB"),) + tuple(
+                _label_ids(maps[d + 1], [b[d] for b in branches], f"dimension-{d + 1}")
+                for d in range(dims_used)
+            )
         encoded.append((ids, gold))
     shape = ShapeSpec(
         tables=((len(vocab), config.emb_dim),),
@@ -613,29 +606,19 @@ def train_acd(
     dim2_map = _index(model.stage2.heads[0].labels)
     token_seqs = [u.tokens for u in train_corpus]
     word_ids = [model.vocab.encode(tokens) for tokens in token_seqs]
+    gold = [gold_branches(ontology, u) for u in train_corpus]
     if teacher_forcing:
-        gold_stage1 = [_gold_stage1(ontology, u) for u in train_corpus]
-        iobs = [iob for iob, _ in gold_stage1]
-        dim1s = [dim1 for _, dim1 in gold_stage1]
+        iobs = [prefixes for prefixes, _ in gold]
+        dim1s = [[b[0] for b in branches] for _, branches in gold]
     else:
         choices = _head_outputs(model.stage1, word_ids, keep_probs=False)
         iobs, dim1s = _stage1_labels(model, choices, _offsets(word_ids))
     items, groups = _stage2_inputs(model, token_seqs, word_ids, iobs, dim1s)
     encoded = []
-    for u, ids, covered in zip(train_corpus, items, groups):
-        gold_atoms = _gold_dim2(ontology, u)
-        try:
-            gold_ids = [dim2_map[a] for a in gold_atoms]
-        except KeyError as exc:
-            raise LabelNotInOntology(
-                f"atom {exc.args[0]!r} missing from the dimension-2 head"
-            ) from None
-        gold = np.fromiter(
-            (gold_ids[positions[0]] for positions in covered),
-            dtype=np.int64,
-            count=len(covered),
-        )
-        encoded.append((ids, (gold,)))
+    for (_, branches), ids, covered in zip(gold, items, groups):
+        gold_ids = _label_ids(dim2_map, [b[1] for b in branches], "dimension-2")
+        firsts = np.array([positions[0] for positions in covered], dtype=np.int64)
+        encoded.append((ids, (gold_ids[firsts],)))
 
     def valid_f1(stage2_params):
         probe = TaggerModel(
@@ -681,9 +664,7 @@ def _build_stage2(model, target_ontology, rng, init_range, concept_emb_dim):
     (frozen) and add trainable rows for the concept tokens; ACD2 freezes
     the whole word table and adds a learned concept-embedding channel."""
     stage1 = model.stage1
-    H = stage1.hidden
     word = stage1.tables[0]
-    dim2_labels = dim_head_labels(target_ontology, 1)
     stage2_vocab = None
     if model.kind in (ACD1, ACD1U):
         if model.kind == ACD1U:
@@ -693,35 +674,23 @@ def _build_stage2(model, target_ontology, rng, init_range, concept_emb_dim):
             extra = [bracket_token(c) for c in concepts]
         stage2_vocab = model.vocab.extended(extra)
         n_new = len(stage2_vocab) - len(model.vocab)
-        new_rows = rng.uniform(-init_range, init_range, size=(n_new, word.cols))
-        tables = (
-            EmbeddingTable(
-                np.vstack([word.weights.copy(), new_rows]),
-                frozen_rows=len(model.vocab),
-            ),
-        )
+        tables = ((word.rows + n_new, word.cols),)
+        frozen = (len(model.vocab),)
     else:
-        concept_labels = model.stage1.heads[1].labels
-        concept_table = EmbeddingTable(
-            rng.uniform(
-                -init_range, init_range, size=(len(concept_labels), concept_emb_dim)
-            )
-        )
-        tables = (
-            EmbeddingTable(word.weights.copy(), frozen_rows=word.rows),
-            concept_table,
-        )
-    D = sum(t.cols for t in tables)
-    fwd = LstmCellParams(
-        rng.uniform(-init_range, init_range, size=(4 * H, D + H)),
-        rng.uniform(-init_range, init_range, size=4 * H),
+        concepts = len(stage1.heads[1].labels)
+        tables = ((word.rows, word.cols), (concepts, concept_emb_dim))
+        frozen = (word.rows,)
+    stage2 = ModelParams(
+        ShapeSpec(tables, stage1.hidden, (dim_head_labels(target_ontology, 1),), frozen)
     )
-    bwd = LstmCellParams(
-        rng.uniform(-init_range, init_range, size=(4 * H, D + H)),
-        rng.uniform(-init_range, init_range, size=4 * H),
-    )
-    head = _new_head(dim2_labels, H, rng, init_range)
-    return ModelParams(tables, fwd, bwd, (head,), H), stage2_vocab
+    first = stage2.tables[0].weights
+    first[:word.rows] = word.weights
+    # draw order: the new rows or the concept table, then the BLSTM and head
+    fresh = [first[word.rows:] if stage2_vocab is not None else stage2.tables[1].weights]
+    fresh += [block for name, block in stage2.blocks() if not name.startswith("table")]
+    for block in fresh:
+        block[...] = rng.uniform(-init_range, init_range, size=block.shape)
+    return stage2, stage2_vocab
 
 
 def adjust_nn_arch(
@@ -736,20 +705,20 @@ def adjust_nn_arch(
 
     New classes get fresh uniform rows; every pre-existing parameter is
     preserved bit-exactly, so old-class logits cannot move.  ACD kinds
-    additionally receive a fresh stage-2 BLSTM.
+    additionally receive a fresh stage-2 BLSTM.  The extended stage 1 is
+    a new ``ModelParams``.
     """
     diff = ontology_diff(source_ontology, target_ontology)
     rng = neural.rng_stream(seed, _SALT_ADJUST)
     out = model.copy()
     out.ontology = target_ontology
-    heads = list(out.stage1.heads)
+    stage1 = model.stage1
+    heads = list(stage1.heads)
     if model.kind == JS:
         new_slots = sorted(target_ontology.reverse[b] for b in diff.new_branches)
         new_labels = [f"{p}-{s}" for s in new_slots for p in ("B", "I")]
         heads[0] = _extend_head(heads[0], new_labels, rng, init_range)
-        out.stage1.heads = tuple(heads)
-        return out
-    if model.kind == AC:
+    elif model.kind == AC:
         for d in range(model.dims_used):
             heads[d + 1] = _extend_head(
                 heads[d + 1], sorted(diff.new_atoms[d]), rng, init_range
@@ -757,25 +726,35 @@ def adjust_nn_arch(
         for d in range(model.dims_used, target_ontology.depth):
             heads.append(
                 _new_head(
-                    dim_head_labels(target_ontology, d),
-                    out.stage1.hidden,
-                    rng,
-                    init_range,
+                    dim_head_labels(target_ontology, d), stage1.hidden, rng, init_range
                 )
             )
-        out.stage1.heads = tuple(heads)
         out.dims_used = target_ontology.depth
-        return out
-    # ACD kinds: extend the dimension-1 head, then build stage 2
-    if target_ontology.depth != 2:
-        raise ModelError("ACD adjustment is defined for two-level target ontologies")
-    heads[1] = _extend_head(heads[1], sorted(diff.new_atoms[0]), rng, init_range)
-    out.stage1.heads = tuple(heads)
-    if out.stage2 is None or not diff.is_empty:
+    else:
+        # ACD kinds: extend the dimension-1 head, then build stage 2
+        if target_ontology.depth != 2:
+            raise ModelError("ACD adjustment is defined for two-level target ontologies")
+        heads[1] = _extend_head(heads[1], sorted(diff.new_atoms[0]), rng, init_range)
+    out.stage1 = ModelParams.pack(stage1.tables, stage1.fwd, stage1.bwd, heads)
+    if model.kind in ACD_KINDS and (out.stage2 is None or not diff.is_empty):
         out.stage2, out.stage2_vocab = _build_stage2(
             out, target_ontology, rng, init_range, concept_emb_dim
         )
     return out
+
+
+def source_key(preset: str, source_ontology: Ontology | None):
+    """What the source step of ``preset`` trains, as a hashable key: the
+    stage-1 kind and the number of dimensions it labels.  Presets with equal
+    keys, trained from the same source corpora and config, can share one
+    source model (``adapt``'s ``source_model``).  Target-only presets have
+    no source step: None."""
+    kind, uses_source = PRESETS[preset]
+    if not uses_source:
+        return None
+    if kind in ACD_KINDS:
+        return (AC, 1)
+    return (kind, source_ontology.depth)
 
 
 @dataclass
@@ -918,7 +897,8 @@ def _sha256_file(path) -> str:
 
 def save_model(model: TaggerModel, directory, config: TrainingConfig | None = None) -> None:
     """Write a self-contained bundle: manifest, ontology, vocabularies,
-    and one checkpoint per stage."""
+    and one checkpoint per stage.  The manifest records the SHA-256 of
+    every file it lists."""
     os.makedirs(directory, exist_ok=True)
     paths = {
         "ontology": os.path.join(directory, "ontology.txt"),
@@ -939,8 +919,8 @@ def save_model(model: TaggerModel, directory, config: TrainingConfig | None = No
         "kind": model.kind,
         "dims_used": model.dims_used,
         "ontology_sha256": ontology_hash(model.ontology),
-        "vocab_sha256": _sha256_file(paths["vocab"]),
         "files": {name: os.path.basename(p) for name, p in paths.items()},
+        "sha256": {name: _sha256_file(p) for name, p in paths.items()},
         "config": dataclasses.asdict(config) if config is not None else None,
     }
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -948,14 +928,66 @@ def save_model(model: TaggerModel, directory, config: TrainingConfig | None = No
         fh.write("\n")
 
 
-_MANIFEST_KEYS = ("kind", "dims_used", "files", "vocab_sha256", "ontology_sha256")
+_MANIFEST_KEYS = ("kind", "dims_used", "files", "sha256", "ontology_sha256")
+
+
+def _check_heads(what: str, params: ModelParams, needed) -> None:
+    """Every label of ``needed`` (one label tuple per head) has a row in
+    the matching head of ``params``, and there are as many heads."""
+    if len(params.heads) != len(needed):
+        raise ModelError(f"{what} has {len(params.heads)} heads, expected {len(needed)}")
+    for j, (head, labels) in enumerate(zip(params.heads, needed)):
+        missing = sorted(set(labels) - set(head.labels))
+        if missing:
+            raise ModelError(
+                f"{what} head {j} has no row for {', '.join(map(repr, missing[:5]))}"
+            )
+
+
+def _check_bundle(model: TaggerModel) -> None:
+    """The loaded parts fit together: vocabulary sizes match the embedding
+    tables, every label the ontology needs has a head row, and stage 2 is
+    present exactly for ACD kinds."""
+    kind, ontology = model.kind, model.ontology
+    dims = model.dims_used
+    if not isinstance(dims, int) or not (
+        dims == 0 if kind == JS
+        else dims == 1 if kind in ACD_KINDS
+        else 1 <= dims <= ontology.depth
+    ):
+        raise ModelError(f"dims_used {dims!r} does not fit a {kind} model")
+    if len(model.vocab) != model.stage1.tables[0].rows:
+        raise ModelError(
+            f"the vocabulary has {len(model.vocab)} tokens, the stage-1 table "
+            f"{model.stage1.tables[0].rows} rows"
+        )
+    _check_heads("stage 1", model.stage1, _stage1_head_labels(kind, ontology, dims))
+    if (model.stage2 is not None) != (kind in ACD_KINDS):
+        raise ModelError(f"a {kind} bundle {'needs' if kind in ACD_KINDS else 'has no'} "
+                         "stage 2")
+    if (model.stage2_vocab is not None) != (kind in (ACD1, ACD1U)):
+        raise ModelError(f"a {kind} bundle {'needs' if kind in (ACD1, ACD1U) else 'has no'} "
+                         "stage-2 vocabulary")
+    if kind not in ACD_KINDS:
+        return
+    if ontology.depth != 2:
+        raise ModelError(f"a {kind} bundle needs a two-level ontology")
+    _check_heads("stage 2", model.stage2, (dim_head_labels(ontology, 1),))
+    tables = [t.rows for t in model.stage2.tables]
+    if kind == ACD2:
+        expected = [len(model.vocab), len(model.stage1.heads[1].labels)]
+    else:
+        expected = [len(model.stage2_vocab)]
+    if tables != expected:
+        raise ModelError(f"the stage-2 tables have {tables} rows, expected {expected}")
 
 
 def load_model(directory) -> TaggerModel:
     """Read a bundle written by ``save_model``.
 
-    The vocabulary and ontology must match the hashes in the manifest; a
-    missing manifest entry or a mismatch raises ModelError.
+    Every listed file must match its SHA-256 in the manifest, and the
+    parts must fit together (see ``_check_bundle``); a missing manifest
+    entry, a mismatch or a misfit raises ModelError.
     """
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -964,14 +996,17 @@ def load_model(directory) -> TaggerModel:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ModelError(f"{directory}: the manifest has no {', '.join(missing)}")
-    files = manifest["files"]
+    files, digests = manifest["files"], manifest["sha256"]
     if not isinstance(files, dict) or not {"ontology", "vocab", "stage1"} <= set(files):
         raise ModelError(
             f"{directory}: the manifest lists no ontology, vocab and stage1 files"
         )
+    if not isinstance(digests, dict) or set(digests) != set(files):
+        raise ModelError(f"{directory}: the manifest's sha256 does not cover its files")
     paths = {name: os.path.join(directory, base) for name, base in files.items()}
-    if _sha256_file(paths["vocab"]) != manifest["vocab_sha256"]:
-        raise ModelError(f"{paths['vocab']}: does not match the manifest's vocab_sha256")
+    for name, path in paths.items():
+        if _sha256_file(path) != digests[name]:
+            raise ModelError(f"{path}: does not match its SHA-256 in the manifest")
     ontology = read_ontology(paths["ontology"])
     if ontology_hash(ontology) != manifest["ontology_sha256"]:
         raise ModelError(
@@ -985,7 +1020,9 @@ def load_model(directory) -> TaggerModel:
         stage2 = neural.load_params(paths["stage2"])
     if "stage2_vocab" in paths:
         stage2_vocab = TokenVocabulary.load(paths["stage2_vocab"])
-    return TaggerModel(
+    model = TaggerModel(
         manifest["kind"], ontology, vocab, stage1,
         manifest["dims_used"], stage2, stage2_vocab,
     )
+    _check_bundle(model)
+    return model

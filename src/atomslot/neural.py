@@ -3,23 +3,26 @@
 Shapes follow one convention throughout.  For a length-n utterance with
 input width D and hidden size H:
 
-    inputs        X      (n, D)    rows are embedded tokens; (B, n, D) for
-                                   B equal-length utterances run in lockstep
+    inputs        X      (n, D)    rows are embedded tokens; (n, B, D),
+                                   time-major, for B equal-length
+                                   utterances run in lockstep
     gate weights  w      (4H, D+H) fused i, f, o, g blocks over [x_t, h_{t-1}]
     features              (n, 2H)  forward and backward states concatenated
     head weights  w      (C, 2H)   one softmax head per labeling task
 
-Everything is float64 and seeded.  The LSTM cell is the standard one
-(no peepholes); dropout touches only the non-recurrent connections, i.e.
-the embedded inputs and the features feeding the heads, with inverted
-scaling so evaluation needs no correction.  Losses are summed negative
-log probabilities over every position and head; gradients come from full
-backpropagation through time.
+Every parameter of a model lives in one contiguous float64 buffer (see
+``ModelParams``), and so does every gradient.  Everything is seeded.  The
+LSTM cell is the standard one (no peepholes); dropout touches only the
+non-recurrent connections, i.e. the embedded inputs and the features
+feeding the heads, with inverted scaling so evaluation needs no
+correction.  Losses are summed negative log probabilities over every
+position and head; gradients come from full backpropagation through time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,79 +95,6 @@ class SoftmaxHead:
             raise NeuralError("head labels must be unique")
 
 
-@dataclass
-class ModelParams:
-    """Embedding tables, the two LSTM directions, and the softmax heads."""
-
-    tables: tuple[EmbeddingTable, ...]
-    fwd: LstmCellParams
-    bwd: LstmCellParams
-    heads: tuple[SoftmaxHead, ...]
-    hidden: int
-
-    @property
-    def input_dim(self) -> int:
-        return sum(t.cols for t in self.tables)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            tables=tuple(
-                EmbeddingTable(t.weights.copy(), t.frozen_rows) for t in self.tables
-            ),
-            fwd=LstmCellParams(self.fwd.w.copy(), self.fwd.b.copy()),
-            bwd=LstmCellParams(self.bwd.w.copy(), self.bwd.b.copy()),
-            heads=tuple(SoftmaxHead(h.w.copy(), h.b.copy(), h.labels) for h in self.heads),
-            hidden=self.hidden,
-        )
-
-    def blocks(self):
-        """Named parameter arrays in canonical order."""
-        for k, table in enumerate(self.tables):
-            yield f"table{k}", table.weights
-        yield "fwd.w", self.fwd.w
-        yield "fwd.b", self.fwd.b
-        yield "bwd.w", self.bwd.w
-        yield "bwd.b", self.bwd.b
-        for j, head in enumerate(self.heads):
-            yield f"head{j}.w", head.w
-            yield f"head{j}.b", head.b
-
-    def n_parameters(self) -> int:
-        return sum(arr.size for _, arr in self.blocks())
-
-
-@dataclass
-class Gradients:
-    tables: list[np.ndarray]
-    fwd_w: np.ndarray
-    fwd_b: np.ndarray
-    bwd_w: np.ndarray
-    bwd_b: np.ndarray
-    heads: list[tuple[np.ndarray, np.ndarray]]
-
-    def blocks(self):
-        for k, g in enumerate(self.tables):
-            yield f"table{k}", g
-        yield "fwd.w", self.fwd_w
-        yield "fwd.b", self.fwd_b
-        yield "bwd.w", self.bwd_w
-        yield "bwd.b", self.bwd_b
-        for j, (gw, gb) in enumerate(self.heads):
-            yield f"head{j}.w", gw
-            yield f"head{j}.b", gb
-
-
-def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients(
-        tables=[np.zeros_like(t.weights) for t in params.tables],
-        fwd_w=np.zeros_like(params.fwd.w),
-        fwd_b=np.zeros_like(params.fwd.b),
-        bwd_w=np.zeros_like(params.bwd.w),
-        bwd_b=np.zeros_like(params.bwd.b),
-        heads=[(np.zeros_like(h.w), np.zeros_like(h.b)) for h in params.heads],
-    )
-
-
 @dataclass(frozen=True)
 class ShapeSpec:
     """Sizes needed to initialize a model.
@@ -180,6 +110,120 @@ class ShapeSpec:
 
     def table_frozen(self, k: int) -> int:
         return self.frozen_rows[k] if k < len(self.frozen_rows) else 0
+
+
+class ModelParams:
+    """Embedding tables, the two LSTM directions and the softmax heads, as
+    named views into one contiguous float64 buffer.
+
+    The buffer holds, in order: each embedding table; both cells' gate
+    weights side by side as ``cells_w`` (2, 4H, D+H), forward first; their
+    biases ``cells_b`` (2, 4H); every head's weights stacked as ``heads_w``
+    (C, 2H), C summed over the heads; their biases ``heads_b`` (C,).
+    ``tables``, ``fwd``, ``bwd`` and ``heads`` are views of it, so a write
+    through them, or through ``blocks()``, is a write to the buffer.
+    Gradients use the same layout (``zeros_like``).  A model that needs
+    other shapes is a new ``ModelParams``; see ``pack``.
+    """
+
+    def __init__(self, shape: ShapeSpec, buffer: np.ndarray | None = None):
+        """Views over ``buffer``, or over a new zeroed buffer."""
+        H = shape.hidden
+        D = sum(cols for _, cols in shape.tables)
+        C = sum(len(labels) for labels in shape.heads)
+        size = sum(rows * cols for rows, cols in shape.tables) + 8 * H * (D + H + 1)
+        size += C * (2 * H + 1)
+        if buffer is None:
+            buffer = np.zeros(size)
+        elif buffer.shape != (size,):
+            raise NeuralError(f"a buffer of shape {buffer.shape} for {size} parameters")
+        self.shape = shape
+        self.hidden = H
+        self.buffer = buffer
+        pos = 0
+
+        def take(*dims):
+            nonlocal pos
+            count = math.prod(dims)
+            view = buffer[pos:pos + count].reshape(dims)
+            pos += count
+            return view
+
+        tables = []
+        frozen_spans = []
+        for k, (rows, cols) in enumerate(shape.tables):
+            frozen = shape.table_frozen(k)
+            if not 0 <= frozen <= rows:
+                raise NeuralError(f"table {k} has {rows} rows, {frozen} frozen")
+            frozen_spans += [pos, pos + frozen * cols]
+            tables.append(EmbeddingTable(take(rows, cols), frozen))
+        self.tables = tuple(tables)
+        self.cells_w = take(2, 4 * H, D + H)
+        self.cells_b = take(2, 4 * H)
+        self.heads_w = take(C, 2 * H)
+        self.heads_b = take(C)
+        self.fwd = LstmCellParams(self.cells_w[0], self.cells_b[0])
+        self.bwd = LstmCellParams(self.cells_w[1], self.cells_b[1])
+        heads, head_rows, row = [], [], 0
+        for labels in shape.heads:
+            rows = slice(row, row + len(labels))
+            heads.append(SoftmaxHead(self.heads_w[rows], self.heads_b[rows], labels))
+            head_rows.append(rows)
+            row = rows.stop
+        self.heads = tuple(heads)
+        # each head's rows in heads_w and heads_b
+        self.head_rows = tuple(head_rows)
+        # SGD updates everything but each table's frozen prefix
+        edges = [0] + frozen_spans + [size]
+        self.trainable = tuple(
+            slice(a, b) for a, b in zip(edges[::2], edges[1::2]) if b > a
+        )
+
+    @classmethod
+    def pack(cls, tables, fwd, bwd, heads) -> "ModelParams":
+        """Copy separately built blocks into a new buffer."""
+        shape = ShapeSpec(
+            tables=tuple(t.weights.shape for t in tables),
+            hidden=fwd.hidden,
+            heads=tuple(h.labels for h in heads),
+            frozen_rows=tuple(t.frozen_rows for t in tables),
+        )
+        out = cls(shape)
+        sources = [t.weights for t in tables] + [fwd.w, fwd.b, bwd.w, bwd.b]
+        sources += [arr for h in heads for arr in (h.w, h.b)]
+        for (name, block), source in zip(out.blocks(), sources):
+            if block.shape != source.shape:
+                raise NeuralError(
+                    f"block {name} is {source.shape}, expected {block.shape}"
+                )
+            block[...] = source
+        return out
+
+    @property
+    def input_dim(self) -> int:
+        return sum(t.cols for t in self.tables)
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.shape, self.buffer.copy())
+
+    def zeros_like(self) -> "ModelParams":
+        return ModelParams(self.shape)
+
+    def blocks(self):
+        """Named parameter arrays in canonical (checkpoint) order; each is a
+        contiguous view of the buffer."""
+        for k, table in enumerate(self.tables):
+            yield f"table{k}", table.weights
+        yield "fwd.w", self.fwd.w
+        yield "fwd.b", self.fwd.b
+        yield "bwd.w", self.bwd.w
+        yield "bwd.b", self.bwd.b
+        for j, head in enumerate(self.heads):
+            yield f"head{j}.w", head.w
+            yield f"head{j}.b", head.b
+
+    def n_parameters(self) -> int:
+        return self.buffer.size
 
 
 @dataclass(frozen=True)
@@ -224,26 +268,14 @@ class TrainingConfig:
 def init_params(
     shape: ShapeSpec, rng: np.random.Generator | int, init_range: float = 0.2
 ) -> ModelParams:
-    """Draw every parameter i.i.d. uniform(-init_range, init_range)."""
+    """Draw every parameter i.i.d. uniform(-init_range, init_range), block
+    by block in ``blocks()`` order."""
     if not isinstance(rng, np.random.Generator):
         rng = rng_stream(int(rng))
-    H = shape.hidden
-
-    def draw(*dims):
-        return rng.uniform(-init_range, init_range, size=dims)
-
-    tables = tuple(
-        EmbeddingTable(draw(rows, cols), shape.table_frozen(k))
-        for k, (rows, cols) in enumerate(shape.tables)
-    )
-    D = sum(cols for _, cols in shape.tables)
-    fwd = LstmCellParams(draw(4 * H, D + H), draw(4 * H))
-    bwd = LstmCellParams(draw(4 * H, D + H), draw(4 * H))
-    heads = tuple(
-        SoftmaxHead(draw(len(labels), 2 * H), draw(len(labels)), tuple(labels))
-        for labels in shape.heads
-    )
-    return ModelParams(tables, fwd, bwd, heads, H)
+    params = ModelParams(shape)
+    for _, block in params.blocks():
+        block[...] = rng.uniform(-init_range, init_range, size=block.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -273,46 +305,60 @@ def make_dropout_masks(
 # forward
 
 @dataclass
-class _DirCache:
-    """One direction's states over a (B, n) batch, time-major."""
+class _Cache:
+    """Both directions' states over B equal-length sequences, direction
+    first.  Direction 0 runs forward; direction 1 runs in reversed time, so
+    its step t reads input n - 1 - t."""
 
-    xs: np.ndarray     # (B, n, D) inputs
-    gates: np.ndarray  # (n, B, 4H) i, f, o after the sigmoid, g after tanh
-    c: np.ndarray      # (n + 1, B, H) cell states, c[0] = 0
-    tc: np.ndarray     # (n, B, H) tanh(c[t + 1])
-    h: np.ndarray      # (n + 1, B, H) hidden states, h[0] = 0
+    xs: np.ndarray     # (2, n, B, D) inputs, each direction in its own time
+    gates: np.ndarray  # (2, n, B, 4H) i, f, o after the sigmoid, g after tanh
+    c: np.ndarray      # (2, n + 1, B, H) cell states, c[:, 0] = 0
+    tc: np.ndarray     # (2, n, B, H) tanh(c[:, t + 1])
+    h: np.ndarray      # (2, n + 1, B, H) hidden states, h[:, 0] = 0
+
+    def features(self) -> np.ndarray:
+        """(n, B, 2H): both directions' states at each input position."""
+        return np.concatenate([self.h[0, 1:], self.h[1, :0:-1]], axis=2)
 
 
-def _run_direction(cell: LstmCellParams, xs: np.ndarray) -> _DirCache:
-    """Run one LSTM direction over ``B`` equal-length sequences in lockstep.
+def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
+    """Run both LSTM directions over ``B`` equal-length sequences in lockstep.
 
-    The input projection ``X @ W_x.T + b`` covers every timestep before the
-    loop, so only the recurrent product ``h @ W_h.T`` stays inside it.
+    ``xs`` is (n, B, D), time-major.  One batched product projects every
+    timestep for both directions before the loop, so only the stacked
+    recurrent product ``h @ W_h.T`` stays inside it, and each step updates
+    both directions with one call per operation.
     """
-    B, n, D = xs.shape
-    H = cell.hidden
+    n, B, D = xs.shape
+    H = params.hidden
+    both = np.empty((2, n, B, D))
+    both[0] = xs
+    both[1] = xs[::-1]
     # the projection buffer turns into the gate activations, step by step
-    gates = xs.transpose(1, 0, 2).reshape(n * B, D) @ cell.w[:, :D].T
-    gates = gates.reshape(n, B, 4 * H)
-    gates += cell.b
-    w_h = np.ascontiguousarray(cell.w[:, D:].T)
-    c = np.zeros((n + 1, B, H))
-    tc = np.empty((n, B, H))
-    h = np.zeros((n + 1, B, H))
+    gates = both.reshape(2, n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
+    gates += params.cells_b[:, None]
+    gates = gates.reshape(2, n, B, 4 * H)
+    w_h = params.cells_w[:, :, D:].transpose(0, 2, 1)
+    if B > 1:
+        # the stacked transposed view is fast for one row, slow for several
+        w_h = np.ascontiguousarray(w_h)
+    c = np.zeros((2, n + 1, B, H))
+    tc = np.empty((2, n, B, H))
+    h = np.zeros((2, n + 1, B, H))
     for t in range(n):
-        z = gates[t]
-        z += h[t] @ w_h
+        z = gates[:, t]
+        z += h[:, t] @ w_h
         # sigmoid(x) = (1 + tanh(x / 2)) / 2, so one tanh covers all four gates
-        sig = z[:, :3 * H]
+        sig = z[..., :3 * H]
         sig *= 0.5
         np.tanh(z, out=z)
         sig *= 0.5
         sig += 0.5
-        np.multiply(z[:, H:2 * H], c[t], out=c[t + 1])
-        c[t + 1] += z[:, :H] * z[:, 3 * H:]
-        np.tanh(c[t + 1], out=tc[t])
-        np.multiply(z[:, 2 * H:3 * H], tc[t], out=h[t + 1])
-    return _DirCache(xs, gates, c, tc, h)
+        np.multiply(z[..., H:2 * H], c[:, t], out=c[:, t + 1])
+        c[:, t + 1] += z[..., :H] * z[..., 3 * H:]
+        np.tanh(c[:, t + 1], out=tc[:, t])
+        np.multiply(z[..., 2 * H:3 * H], tc[:, t], out=h[:, t + 1])
+    return _Cache(both, gates, c, tc, h)
 
 
 def _normalize_ids(params: ModelParams, ids) -> tuple[np.ndarray, ...]:
@@ -333,9 +379,7 @@ def _normalize_ids(params: ModelParams, ids) -> tuple[np.ndarray, ...]:
 @dataclass
 class _ForwardCache:
     ids: tuple[np.ndarray, ...]
-    xs: np.ndarray          # post-dropout inputs (n, D)
-    fwd: _DirCache
-    bwd: _DirCache          # stored in reversed time order
+    cells: _Cache           # over post-dropout inputs, B = 1
     features: np.ndarray    # (n, 2H), pre-dropout
     head_input: np.ndarray  # (n, 2H), post-dropout
     masks: DropoutMasks | None
@@ -348,11 +392,10 @@ def _forward(params: ModelParams, ids, masks: DropoutMasks | None) -> _ForwardCa
     )
     if masks is not None:
         xs = xs * masks.input
-    fwd = _run_direction(params.fwd, xs[None])
-    bwd = _run_direction(params.bwd, xs[None, ::-1])
-    features = np.concatenate([fwd.h[1:, 0], bwd.h[:0:-1, 0]], axis=1)
+    cells = _run_cells(params, xs[:, None])
+    features = cells.features()[:, 0]
     head_input = features * masks.features if masks is not None else features
-    return _ForwardCache(seqs, xs, fwd, bwd, features, head_input, masks)
+    return _ForwardCache(seqs, cells, features, head_input, masks)
 
 
 def blstm_forward(params: ModelParams, ids, masks: DropoutMasks | None = None) -> np.ndarray:
@@ -385,28 +428,24 @@ def blstm_forward_batch(params: ModelParams, items: Sequence):
         members = by_length[n]
         for start in range(0, len(members), GROUP_CAP):
             group = members[start:start + GROUP_CAP]
-            # gathered time-major, so the forward projection needs no copy
             xs = np.concatenate(
                 [
                     table.weights[np.stack([seqs[k][j] for k in group], axis=1)]
                     for j, table in enumerate(params.tables)
                 ],
                 axis=2,
-            ).transpose(1, 0, 2)
-            # only the hidden states outlive each direction's run
-            fwd_h = _run_direction(params.fwd, xs).h[1:].transpose(1, 0, 2)
-            bwd_h = _run_direction(params.bwd, xs[:, ::-1]).h[:0:-1].transpose(1, 0, 2)
-            yield np.array(group), np.concatenate([fwd_h, bwd_h], axis=2)
+            )
+            yield np.array(group), _run_cells(params, xs).features().transpose(1, 0, 2)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -418,38 +457,51 @@ def head_forward(head: SoftmaxHead, features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # loss and gradients
 
-def _backward_direction(
-    cell: LstmCellParams, cache: _DirCache, dh_out: np.ndarray
+def _backprop_cells(
+    params: ModelParams, cache: _Cache, dh_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagation through time for a cache of one sequence (B = 1)."""
-    n, H = dh_out.shape
-    D = cell.input_dim
-    gates = cache.gates[:, 0]
-    i_a, f_a, o_a, g_a = (gates[:, k * H:(k + 1) * H] for k in range(4))
-    c_prev = cache.c[:-1, 0]
-    tc_a = cache.tc[:, 0]
-    dz_all = np.empty((n, 4 * H))
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    w_h = cell.w[:, D:]
+    """Backpropagation through time for both directions at once.
+
+    ``dh_out`` (2, n, B, H) is the loss gradient of each state, in each
+    direction's own time.  Returns the gate pre-activation gradients ``dz``
+    (2, n * B, 4H) and the cell inputs ``xh`` = [x_t, h_{t-1}]
+    (2, n * B, D + H) they pair with, in each direction's own time, so
+    that dW = dz^T xh and db = sum(dz); and the input gradient dx
+    (n, B, D) in forward time.
+    """
+    _, n, B, H4 = cache.gates.shape
+    H = H4 // 4
+    D = cache.xs.shape[3]
+    i, f, o, g = (cache.gates[..., k * H:(k + 1) * H] for k in range(4))
+    tc = cache.tc
+    # everything that does not depend on the carried dh and dc, for all steps
+    dc_of_dh = o * (1.0 - tc * tc)
+    factors = np.empty((2, n, B, 4, H))
+    factors[..., 0, :] = g * i * (1.0 - i)
+    factors[..., 1, :] = cache.c[:, :-1] * f * (1.0 - f)
+    factors[..., 2, :] = tc * o * (1.0 - o)
+    factors[..., 3, :] = i * (1.0 - g * g)
+    w_h = params.cells_w[:, :, D:]
+    dz = np.empty((2, n, B, 4, H))
+    dh_next = np.zeros((2, B, H))
+    dc_next = np.zeros((2, B, H))
     for t in range(n - 1, -1, -1):
-        dh = dh_out[t] + dh_next
-        i, f, o, g = i_a[t], f_a[t], o_a[t], g_a[t]
-        tc = tc_a[t]
-        do = dh * tc
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        dz = dz_all[t]
-        dz[:H] = dc * g * i * (1.0 - i)
-        dz[H:2 * H] = dc * c_prev[t] * f * (1.0 - f)
-        dz[2 * H:3 * H] = do * o * (1.0 - o)
-        dz[3 * H:] = dc * i * (1.0 - g * g)
-        dh_next = dz @ w_h
-        dc_next = dc * f
-    xh = np.concatenate([cache.xs[0], cache.h[:-1, 0]], axis=1)
-    dw = dz_all.T @ xh
-    db = dz_all.sum(axis=0)
-    dx = dz_all @ cell.w[:, :D]
-    return dw, db, dx
+        dh = dh_out[:, t] + dh_next
+        dc = dh * dc_of_dh[:, t]
+        dc += dc_next
+        step = dz[:, t]
+        np.multiply(factors[:, t], dc[:, :, None], out=step)
+        np.multiply(factors[:, t, :, 2], dh, out=step[:, :, 2])
+        dh_next = step.reshape(2, B, 4 * H) @ w_h
+        dc_next = dc * f[:, t]
+    dz = dz.reshape(2, n * B, 4 * H)
+    xh = np.concatenate([cache.xs, cache.h[:, :-1]], axis=3).reshape(2, n * B, D + H)
+    dx = (dz @ params.cells_w[:, :, :D]).reshape(2, n, B, D)
+    return dz, xh, dx[0] + dx[1, ::-1]
+
+
+def _joined(parts: list, axis: int = 0) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 def sequence_loss(params: ModelParams, batch: Sequence[tuple]) -> float:
@@ -462,9 +514,10 @@ def sequence_loss(params: ModelParams, batch: Sequence[tuple]) -> float:
             raise NeuralError(f"label sequences do not match the {len(params.heads)} heads")
         flat = features.reshape(-1, features.shape[2])
         rows = np.arange(flat.shape[0])
-        for j, head in enumerate(params.heads):
+        logits = flat @ params.heads_w.T + params.heads_b
+        for j, head_rows in enumerate(params.head_rows):
             gold = np.concatenate([np.asarray(item[j], dtype=np.int64) for item in labels])
-            logp = log_softmax(flat @ head.w.T + head.b)
+            logp = log_softmax(logits[:, head_rows])
             total -= float(logp[rows, gold].sum())
     return total
 
@@ -473,21 +526,27 @@ def loss_and_gradients(
     params: ModelParams,
     batch: Sequence[tuple],
     masks: Sequence[DropoutMasks | None] | None = None,
-) -> tuple[float, Gradients]:
+) -> tuple[float, ModelParams]:
     """Summed cross-entropy and its gradients over a batch.
 
     Each batch item pairs token ids (one array, or a tuple of arrays for
     multi-channel inputs) with one gold id array per head.  ``masks``
     optionally supplies fixed dropout masks per item; fixed masks keep the
-    computation deterministic, which the gradient check relies on.
+    computation deterministic, which the gradient check relies on.  The
+    gradients come back in the parameters' layout, over one new buffer.
+    Frozen embedding rows get their gradient too; ``sgd_step`` skips them.
+
+    Each item runs forward and back on its own; every weight gradient is
+    then one product over the positions of the whole batch.
     """
-    grads = zero_gradients(params)
+    grads = params.zeros_like()
     total = 0.0
     H = params.hidden
+    dlogits_all, head_in_all, dz_all, xh_all, dx_all, ids_all = [], [], [], [], [], []
     for b, (ids, labels) in enumerate(batch):
         item_masks = masks[b] if masks is not None else None
         fc = _forward(params, ids, item_masks)
-        n = fc.xs.shape[0]
+        n = fc.head_input.shape[0]
         if n == 0:
             continue
         if len(labels) != len(params.heads):
@@ -496,62 +555,65 @@ def loss_and_gradients(
                 f"{len(params.heads)} heads"
             )
         rows = np.arange(n)
-        dfeats_dropped = np.zeros((n, 2 * H))
-        for j, (head, gold) in enumerate(zip(params.heads, labels)):
+        # every head's logits come from one product over the stacked heads
+        dlogits = fc.head_input @ params.heads_w.T + params.heads_b
+        for j, gold in enumerate(labels):
             gold = np.asarray(gold, dtype=np.int64)
             if len(gold) != n:
                 raise NeuralError(
                     f"batch item {b}, head {j}: {len(gold)} labels for {n} positions"
                 )
-            logits = fc.head_input @ head.w.T + head.b
-            logp = log_softmax(logits)
+            segment = dlogits[:, params.head_rows[j]]
+            logp = log_softmax(segment)
             total -= float(logp[rows, gold].sum())
-            dlogits = np.exp(logp)
-            dlogits[rows, gold] -= 1.0
-            gw, gb = grads.heads[j]
-            gw += dlogits.T @ fc.head_input
-            gb += dlogits.sum(axis=0)
-            dfeats_dropped += dlogits @ head.w
-        dfeats = (
-            dfeats_dropped * fc.masks.features
-            if fc.masks is not None
-            else dfeats_dropped
-        )
-        dw_f, db_f, dx_f = _backward_direction(params.fwd, fc.fwd, dfeats[:, :H])
-        dw_b, db_b, dx_b = _backward_direction(
-            params.bwd, fc.bwd, dfeats[::-1, H:]
-        )
-        grads.fwd_w += dw_f
-        grads.fwd_b += db_f
-        grads.bwd_w += dw_b
-        grads.bwd_b += db_b
-        dx = dx_f + dx_b[::-1]
+            np.exp(logp, out=segment)
+            segment[rows, gold] -= 1.0
+        dfeats = dlogits @ params.heads_w
         if fc.masks is not None:
-            dx = dx * fc.masks.input
-        offset = 0
-        for k, (table, seq) in enumerate(zip(params.tables, fc.ids)):
-            width = table.cols
-            np.add.at(grads.tables[k], seq, dx[:, offset:offset + width])
-            offset += width
+            dfeats *= fc.masks.features
+        dh_out = np.empty((2, n, 1, H))
+        dh_out[0, :, 0] = dfeats[:, :H]
+        dh_out[1, :, 0] = dfeats[::-1, H:]
+        dz, xh, dx = _backprop_cells(params, fc.cells, dh_out)
+        dx = dx[:, 0]
+        if fc.masks is not None:
+            dx *= fc.masks.input
+        dlogits_all.append(dlogits)
+        head_in_all.append(fc.head_input)
+        dz_all.append(dz)
+        xh_all.append(xh)
+        dx_all.append(dx)
+        ids_all.append(fc.ids)
+    if not dz_all:
+        return total, grads
+    dlogits, dz, dx = _joined(dlogits_all), _joined(dz_all, axis=1), _joined(dx_all)
+    np.matmul(dlogits.T, _joined(head_in_all), out=grads.heads_w)
+    np.sum(dlogits, axis=0, out=grads.heads_b)
+    np.matmul(dz.transpose(0, 2, 1), _joined(xh_all, axis=1), out=grads.cells_w)
+    np.sum(dz, axis=1, out=grads.cells_b)
+    offset = 0
+    for k, table in enumerate(grads.tables):
+        ids = _joined([item[k] for item in ids_all])
+        np.add.at(table.weights, ids, dx[:, offset:offset + table.cols])
+        offset += table.cols
     return total, grads
 
 
-def _frozen_rows_of(params: ModelParams, name: str) -> int:
-    if name.startswith("table"):
-        return params.tables[int(name[len("table"):])].frozen_rows
-    return 0
+def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
+    """In-place SGD update; frozen embedding rows are left untouched.
 
-
-def sgd_step(params: ModelParams, grads: Gradients, learning_rate: float) -> ModelParams:
-    """In-place SGD update; frozen embedding rows are left untouched."""
-    for (name, p), (_, g) in zip(params.blocks(), grads.blocks()):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient in block {name}")
-        frozen = _frozen_rows_of(params, name)
-        if frozen:
-            p[frozen:] -= learning_rate * g[frozen:]
-        else:
-            p -= learning_rate * g
+    The whole gradient is checked before anything is written, so a
+    non-finite gradient leaves every parameter as it was.
+    """
+    g = grads.buffer
+    # a finite sum of squares proves every entry finite; otherwise look
+    # closer, since squares of finite entries can overflow
+    if not np.isfinite(g @ g) and not np.isfinite(g).all():
+        name = next(name for name, block in grads.blocks() if not np.isfinite(block).all())
+        raise NonFiniteGradient(f"non-finite gradient in block {name}")
+    p = params.buffer
+    for span in params.trainable:
+        p[span] -= learning_rate * g[span]
     return params
 
 
@@ -588,14 +650,13 @@ def gradient_check(
         value, _ = loss_and_gradients(params, batch)
         return value
 
+    frozen = {f"table{k}": t.frozen_rows * t.cols for k, t in enumerate(params.tables)}
     block_errors: dict[str, float] = {}
     for (name, p), (_, g) in zip(params.blocks(), grads.blocks()):
-        frozen = _frozen_rows_of(params, name)
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
-        start = frozen * (p.shape[1] if p.ndim == 2 else 1)
         worst = 0.0
-        for idx in range(start, flat_p.size):
+        for idx in range(frozen.get(name, 0), flat_p.size):
             original = flat_p[idx]
             flat_p[idx] = original + epsilon
             above = loss_only()
@@ -641,26 +702,13 @@ def save_params(params: ModelParams, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _checkpoint_shapes(hidden: int, tables, head_labels) -> dict[str, tuple[int, int]]:
-    """The (rows, cols) of every block a checkpoint with this metadata holds."""
-    H = hidden
-    D = sum(cols for _, cols, _ in tables)
-    shapes = {f"table{k}": (rows, cols) for k, (rows, cols, _) in enumerate(tables)}
-    for direction in ("fwd", "bwd"):
-        shapes[f"{direction}.w"] = (4 * H, D + H)
-        shapes[f"{direction}.b"] = (1, 4 * H)
-    for j, labels in enumerate(head_labels):
-        shapes[f"head{j}.w"] = (len(labels), 2 * H)
-        shapes[f"head{j}.b"] = (1, len(labels))
-    return shapes
-
-
 def load_params(path) -> ModelParams:
     """Read a checkpoint written by ``save_params``.
 
     A truncated or malformed file, or one whose blocks disagree with its
     metadata, raises NeuralError.  The checks run once per block.  The file
-    is read line by line, so only one line of text is held at a time.
+    is read line by line, so only one line of text is held at a time, and
+    every row is parsed straight into the parameter buffer.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
@@ -671,30 +719,33 @@ def load_params(path) -> ModelParams:
             raise NeuralError(f"{path}: unsupported checkpoint version {version!r}")
         try:
             meta = json.loads(fh.readline())
-            hidden = int(meta["hidden"])
-            table_meta = [
-                (int(t["rows"]), int(t["cols"]), int(t["frozen_rows"]))
-                for t in meta["tables"]
-            ]
-            head_labels = [tuple(h["labels"]) for h in meta["heads"]]
+            shape = ShapeSpec(
+                tables=tuple((int(t["rows"]), int(t["cols"])) for t in meta["tables"]),
+                hidden=int(meta["hidden"]),
+                heads=tuple(tuple(h["labels"]) for h in meta["heads"]),
+                frozen_rows=tuple(int(t["frozen_rows"]) for t in meta["tables"]),
+            )
         except (ValueError, KeyError, TypeError) as exc:
             raise NeuralError(f"{path}: bad checkpoint metadata ({exc!r})") from None
-        shapes = _checkpoint_shapes(hidden, table_meta, head_labels)
-        blocks: dict[str, np.ndarray] = {}
+        params = ModelParams(shape)
+        blocks = {
+            name: arr if arr.ndim == 2 else arr.reshape(1, -1)
+            for name, arr in params.blocks()
+        }
+        seen = set()
         for line in fh:
             header = line.rstrip("\n").split("\t")
-            if len(header) != 4 or header[0] != "block" or header[1] not in shapes:
+            if len(header) != 4 or header[0] != "block" or header[1] not in blocks:
                 raise NeuralError(f"{path}: expected block header, got {line!r}")
             name = header[1]
-            shape = shapes[name]
-            if header[2:] != [str(shape[0]), str(shape[1])]:
+            data = blocks[name]
+            if header[2:] != [str(data.shape[0]), str(data.shape[1])]:
                 raise NeuralError(
                     f"{path}: block {name} is {header[2]}x{header[3]}, "
-                    f"expected {shape[0]}x{shape[1]}"
+                    f"expected {data.shape[0]}x{data.shape[1]}"
                 )
-            data = np.empty(shape)
             try:
-                for r in range(shape[0]):
+                for r in range(data.shape[0]):
                     data[r] = next(fh).split()
             except StopIteration:
                 raise NeuralError(f"{path}: block {name} is truncated") from None
@@ -702,18 +753,8 @@ def load_params(path) -> ModelParams:
                 raise NeuralError(
                     f"{path}: block {name} has a row of the wrong width or a non-number"
                 ) from None
-            blocks[name] = data
-    missing = [name for name in shapes if name not in blocks]
+            seen.add(name)
+    missing = [name for name in blocks if name not in seen]
     if missing:
         raise NeuralError(f"{path}: missing blocks {', '.join(missing)}")
-    tables = tuple(
-        EmbeddingTable(blocks[f"table{k}"], frozen)
-        for k, (_, _, frozen) in enumerate(table_meta)
-    )
-    fwd = LstmCellParams(blocks["fwd.w"], blocks["fwd.b"].reshape(-1))
-    bwd = LstmCellParams(blocks["bwd.w"], blocks["bwd.b"].reshape(-1))
-    heads = tuple(
-        SoftmaxHead(blocks[f"head{j}.w"], blocks[f"head{j}.b"].reshape(-1), labels)
-        for j, labels in enumerate(head_labels)
-    )
-    return ModelParams(tables, fwd, bwd, heads, hidden)
+    return params

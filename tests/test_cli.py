@@ -206,6 +206,23 @@ def test_eval_with_a_truncated_checkpoint_is_a_data_error(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["eval", "decode"])
+def test_a_checkpoint_six_characters_short_is_a_data_error(
+    trained, workspace, tmp_path, capsys, command
+):
+    import shutil
+
+    bundle = tmp_path / "model"
+    shutil.copytree(trained / "model", bundle)
+    stage1 = bundle / "stage1.txt"
+    stage1.write_text(stage1.read_text()[:-7] + "\n")
+    args = [command, "--test", str(workspace["test"]), "--model", str(bundle)]
+    if command == "decode":
+        args += ["--out", str(tmp_path / "d")]
+    assert run_command(args) == 2
+    assert "stage1.txt" in capsys.readouterr().err
+
+
 def test_eval_requires_exactly_one_source(workspace, trained):
     assert run_command(["eval", "--test", str(workspace["test"])]) == 1
     assert run_command([

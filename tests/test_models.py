@@ -17,19 +17,23 @@ from atomslot.models import (
     LabelNotInOntology,
     ModelError,
     TaggerModel,
+    TrainingDiverged,
     adapt,
     adjust_nn_arch,
     bracket_token,
     decode,
     dim_head_labels,
     evaluate_model,
+    format_train_log,
     gather_sequence,
+    gold_branches,
     js_head_labels,
     load_model,
     predict_corpus,
     predict_lattice,
     run_experiment,
     save_model,
+    source_key,
     train,
     train_acd,
 )
@@ -286,6 +290,86 @@ def test_train_rejects_tags_outside_ontology():
     corpus = Corpus((utt("leave monday", "O B-nope"),), "target")
     with pytest.raises(LabelNotInOntology):
         train(JS, ontology, corpus, corpus, TINY)
+
+
+def test_gold_branches_reads_prefixes_and_branches():
+    ontology = target_ontology()
+    prefixes, branches = gold_branches(ontology, utt("fly to boston", "O B-to.city I-to.city"))
+    assert prefixes == ["O", "B", "I"]
+    assert branches == [("null", "null"), ("city", "to"), ("city", "to")]
+    with pytest.raises(LabelNotInOntology):
+        gold_branches(ontology, utt("on monday", "O B-nope"))
+
+
+def test_train_ac_and_acd_reject_tags_outside_ontology():
+    ontology = target_ontology()
+    corpus, valid = prepared_target()
+    bad = Corpus(corpus.utterances + (utt("fly home", "O B-home.city"),), "target")
+    with pytest.raises(LabelNotInOntology):
+        train(AC, ontology, bad, valid, TINY)
+    _, source_ontology, source = source_setup()
+    model = adjust_nn_arch(
+        tagger(ACD1, source_ontology, source, dims_used=1), source_ontology, ontology, seed=0
+    )
+    for teacher_forcing in (False, True):
+        with pytest.raises(LabelNotInOntology):
+            train_acd(ontology, model, bad, valid, TINY, teacher_forcing)
+
+
+def _poisoned_training(monkeypatch, poison):
+    """Train JS over a three-rate grid for two epochs; ``poison(k)`` says
+    whether the k-th gradient (0-based) gets a NaN in its last entry.
+    Returns the log, and per poisoned call the parameters and a copy of
+    them taken before the SGD step."""
+    ontology = target_ontology()
+    corpus, valid = prepared_target()
+    config = TrainingConfig(
+        epochs=2, dropout=0.0, emb_dim=4, hidden=4, seed=0, lr_grid=(0.01, 0.02, 0.03)
+    )
+    real = neural.loss_and_gradients
+    calls = []
+    poisoned = []
+
+    def loss_and_gradients(params, batch, masks=None):
+        loss, grads = real(params, batch, masks)
+        if poison(len(calls)):
+            grads.buffer[-1] = np.nan
+            poisoned.append((params, params.buffer.copy()))
+        calls.append(1)
+        return loss, grads
+
+    monkeypatch.setattr(neural, "loss_and_gradients", loss_and_gradients)
+    _, log = train(JS, ontology, corpus, valid, config)
+    return log, poisoned, len(corpus)
+
+
+def test_a_diverging_candidate_is_logged_and_the_grid_goes_on(monkeypatch):
+    n = len(target_corpus())
+    # candidate 1, epoch 2, third sentence
+    log, poisoned, _ = _poisoned_training(monkeypatch, lambda k: k == 2 * n + n + 2)
+    assert [c.diverged_epoch for c in log.candidates] == [None, 2, None]
+    assert [len(c.epochs) for c in log.candidates] == [2, 1, 2]
+    assert log.candidates[1].best_epoch == 1
+    assert "1\t0.02\t2\tdiverged\t-" in format_train_log(log).splitlines()
+    # the step that met the NaN wrote nothing, and nothing ran after it
+    (params, before), = poisoned
+    assert np.array_equal(params.buffer, before)
+
+
+def test_training_fails_only_when_every_candidate_diverges(monkeypatch):
+    n = len(target_corpus())
+    # every candidate's first sentence of epoch 1
+    with pytest.raises(TrainingDiverged):
+        _poisoned_training(monkeypatch, lambda k: k % (2 * n) == 0)
+
+
+def test_source_key_groups_presets_that_share_a_source_step():
+    _, source_ontology, _ = source_setup()
+    assert source_key("JS_T", source_ontology) is None
+    assert source_key("AC_T", None) is None
+    assert source_key("JS_TS", source_ontology) == (JS, source_ontology.depth)
+    shared = {source_key(p, source_ontology) for p in ("AC_TS", "ACD_TS_1", "ACD_TS_1U", "ACD_TS_2")}
+    assert shared == {(AC, 1)}
 
 
 def test_evaluate_model_preprocesses_with_model_vocab():
@@ -572,6 +656,91 @@ def test_load_model_rejects_a_manifest_without_files(tmp_path):
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ModelError):
         load_model(bundle)
+
+
+def _untrained_acd1_bundle(tmp_path):
+    ontology, source_ontology, source = source_setup()
+    model = adjust_nn_arch(
+        tagger(ACD1, source_ontology, source, dims_used=1), source_ontology, ontology, seed=0
+    )
+    save_model(model, tmp_path / "acd1")
+    return model, tmp_path / "acd1"
+
+
+@pytest.mark.parametrize("name", ["stage1.txt", "stage2.txt", "stage2_vocab.txt", "vocab.txt"])
+def test_load_model_rejects_any_listed_file_that_changed(tmp_path, name):
+    _, bundle = _untrained_acd1_bundle(tmp_path)
+    path = bundle / name
+    text = path.read_text()
+    # six characters short: for a checkpoint, the last bias loses digits
+    path.write_text(text[:-7] + "\n")
+    with pytest.raises(ModelError, match=name):
+        load_model(bundle)
+
+
+def test_load_model_rejects_a_manifest_whose_hashes_miss_a_file(tmp_path):
+    import json
+
+    _, bundle = _untrained_acd1_bundle(tmp_path)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    del manifest["sha256"]["stage2_vocab"]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ModelError):
+        load_model(bundle)
+
+
+def test_load_model_rejects_a_vocabulary_of_the_wrong_size(tmp_path):
+    model = tagger(JS, target_ontology(), target_corpus())
+    model.vocab = model.vocab.extended(["extra"])
+    save_model(model, tmp_path / "b")
+    with pytest.raises(ModelError, match="vocabulary"):
+        load_model(tmp_path / "b")
+
+
+def test_load_model_rejects_a_stage2_vocabulary_of_the_wrong_size(tmp_path):
+    model, _ = _untrained_acd1_bundle(tmp_path)
+    model.stage2_vocab = model.stage2_vocab.extended(["[spare]"])
+    save_model(model, tmp_path / "b")
+    with pytest.raises(ModelError, match="stage-2 tables"):
+        load_model(tmp_path / "b")
+
+
+def test_load_model_rejects_a_head_without_a_label_the_ontology_needs(tmp_path):
+    ontology, source_ontology, source = source_setup()
+    model = tagger(JS, source_ontology, source)
+    model.ontology = ontology  # the target slots have no head rows
+    save_model(model, tmp_path / "js")
+    with pytest.raises(ModelError, match="no row"):
+        load_model(tmp_path / "js")
+    ac = tagger(AC, ontology, target_corpus(), dims_used=1)
+    ac.dims_used = 2  # one dimension head short
+    save_model(ac, tmp_path / "ac")
+    with pytest.raises(ModelError, match="heads"):
+        load_model(tmp_path / "ac")
+
+
+def test_load_model_rejects_stage2_outside_acd_kinds(tmp_path):
+    acd, _ = _untrained_acd1_bundle(tmp_path)
+    js = tagger(JS, acd.ontology, target_corpus())
+    js.stage2 = acd.stage2
+    save_model(js, tmp_path / "js")
+    with pytest.raises(ModelError, match="stage 2"):
+        load_model(tmp_path / "js")
+    acd.stage2 = None
+    save_model(acd, tmp_path / "acd")
+    with pytest.raises(ModelError, match="stage 2"):
+        load_model(tmp_path / "acd")
+
+
+def test_adjusted_parameters_live_in_one_buffer(tmp_path):
+    acd, _ = _untrained_acd1_bundle(tmp_path)
+    ontology, source_ontology, source = source_setup()
+    ac = adjust_nn_arch(
+        tagger(AC, source_ontology, source, dims_used=1), source_ontology, ontology, seed=0
+    )
+    for params in (acd.stage1, acd.stage2, ac.stage1):
+        for name, block in params.blocks():
+            assert np.shares_memory(block, params.buffer), name
 
 
 def test_shared_template_computes_the_initial_loss_once(monkeypatch):
