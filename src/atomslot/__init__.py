@@ -16,7 +16,6 @@ from .corpus import (
     SlotSpan,
     TaggedUtterance,
     TokenVocabulary,
-    align_values,
     builtin_flight_grammar,
     generate_synthetic,
     iob_to_spans,
@@ -46,7 +45,6 @@ from .models import (
     EmptyCorpus,
     LabelNotInOntology,
     ModelError,
-    PredictionLattice,
     PRESETS,
     TaggerModel,
     TrainingDiverged,
@@ -57,7 +55,6 @@ from .models import (
     evaluate_model,
     load_model,
     predict_corpus,
-    predict_lattice,
     run_experiment,
     save_model,
     train,

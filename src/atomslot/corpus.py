@@ -1,5 +1,5 @@
-"""Tagged corpora: file I/O, the IOB codec, preprocessing, perturbation,
-value alignment and synthetic data generation.
+"""Tagged corpora: file I/O, the IOB codec, preprocessing, perturbation
+and synthetic data generation.
 
 Corpus files hold one ``token<TAB>tag`` pair per line with a blank line
 between utterances.  Chunk boundaries follow the CoNLL evaluation
@@ -403,36 +403,6 @@ def perturb_test_set(
         tokens.extend(u.tokens[cursor:])
         out.append(TaggedUtterance(tuple(tokens), spans_to_iob(tokens, spans)))
     return Corpus(tuple(out), "test")
-
-
-def align_values(
-    tokens: Sequence[str], semantic_tuples: Iterable[tuple[str, str]]
-) -> tuple[SlotSpan, ...]:
-    """Project ``(slot, value)`` pairs onto token spans.
-
-    Values match as case-insensitive token subsequences; each pair takes
-    the leftmost match that avoids already-covered tokens, and pairs with
-    no such match are dropped.
-    """
-    lowered = [t.lower() for t in tokens]
-    covered = [False] * len(tokens)
-    spans = []
-    for slot, value in semantic_tuples:
-        needle = value.lower().split()
-        if not needle:
-            continue
-        width = len(needle)
-        for start in range(0, len(tokens) - width + 1):
-            if lowered[start:start + width] == needle and not any(
-                covered[start:start + width]
-            ):
-                for i in range(start, start + width):
-                    covered[i] = True
-                spans.append(
-                    SlotSpan(slot, start, start + width, tuple(tokens[start:start + width]))
-                )
-                break
-    return tuple(spans)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 from . import neural
 from .corpus import (
     Corpus,
+    CorpusError,
     TokenVocabulary,
     iob_to_spans,
     parse_tag,
@@ -43,6 +44,7 @@ from .neural import (
 from .ontology import (
     NULL_ATOM,
     Ontology,
+    OntologyError,
     branch_to_slot,
     ontology_diff,
     ontology_hash,
@@ -72,7 +74,7 @@ PRESETS: dict[str, tuple[str, bool]] = {
     "ACD_TS_2": (ACD2, True),
 }
 
-MODEL_FORMAT = "atomslot-model v1"
+MODEL_FORMAT = "atomslot-model v2"
 
 _SALT_SOURCE = 11
 _SALT_TARGET = 12
@@ -156,14 +158,6 @@ class TaggerModel:
         )
 
 
-@dataclass(frozen=True)
-class PredictionLattice:
-    """Per-position class probabilities, one block per softmax head."""
-
-    head_labels: tuple[tuple[str, ...], ...]
-    probs: tuple[np.ndarray, ...]
-
-
 # ---------------------------------------------------------------------------
 # decoding: one batched path for every kind and every caller
 
@@ -173,27 +167,21 @@ def _offsets(items) -> np.ndarray:
     return np.cumsum([0] + [_item_length(ids) for ids in items], dtype=np.int64)
 
 
-def _head_outputs(params: ModelParams, items, keep_probs: bool) -> list[np.ndarray]:
-    """Per head, stacked over the positions of all ``items`` in order: the
-    class probabilities when ``keep_probs``, else the index of the most
-    probable class (ties to the lowest index).
+def _head_outputs(params: ModelParams, items) -> list[np.ndarray]:
+    """Per head, stacked over the positions of all ``items`` in order, the
+    index of the most probable class (ties to the lowest index).
 
     The BLSTM runs in equal-length groups.  Tagging needs only the argmax,
     which holds one integer per position instead of one float per class.
     """
     offsets = _offsets(items)
-    outputs = [
-        np.empty((offsets[-1], len(head.labels))) if keep_probs
-        else np.empty(offsets[-1], dtype=np.int64)
-        for head in params.heads
-    ]
+    outputs = [np.empty(offsets[-1], dtype=np.int64) for _ in params.heads]
     for members, features in neural.blstm_forward_batch(params, items):
         n = features.shape[1]
         rows = (offsets[members][:, None] + np.arange(n)).reshape(-1)
         flat = features.reshape(len(members) * n, -1)
         for out, head in zip(outputs, params.heads):
-            probs = neural.head_forward(head, flat)
-            out[rows] = probs if keep_probs else probs.argmax(axis=1)
+            out[rows] = neural.head_forward(head, flat).argmax(axis=1)
     return outputs
 
 
@@ -275,8 +263,8 @@ def _stage1_labels(model: TaggerModel, choices, offsets):
     )
 
 
-def _predict(model: TaggerModel, token_seqs, keep_probs: bool):
-    """Head labels, per-head outputs stacked over every position of
+def _predict(model: TaggerModel, token_seqs):
+    """Head labels, per-head argmaxes stacked over every position of
     ``token_seqs`` (see ``_head_outputs``), and each utterance's offset.
 
     Stage 1 runs over the whole batch; ACD kinds then build the stage-2
@@ -290,14 +278,13 @@ def _predict(model: TaggerModel, token_seqs, keep_probs: bool):
             raise ModelError("ACD decoding is defined for two-level ontologies")
     word_ids = [model.vocab.encode(tokens) for tokens in token_seqs]
     offsets = _offsets(word_ids)
-    outputs = _head_outputs(model.stage1, word_ids, keep_probs)
+    outputs = _head_outputs(model.stage1, word_ids)
     labels = [head.labels for head in model.stage1.heads]
     if model.kind in ACD_KINDS:
-        choices = [out.argmax(axis=1) if keep_probs else out for out in outputs[:2]]
-        iobs, dim1s = _stage1_labels(model, choices, offsets)
+        iobs, dim1s = _stage1_labels(model, outputs, offsets)
         items, groups = _stage2_inputs(model, token_seqs, word_ids, iobs, dim1s)
         sizes = [len(positions) for covered in groups for positions in covered]
-        stage2 = _head_outputs(model.stage2, items, keep_probs)[0]
+        stage2 = _head_outputs(model.stage2, items)[0]
         outputs.append(stage2[np.repeat(np.arange(len(sizes)), sizes)])
         labels.append(model.stage2.heads[0].labels)
     return tuple(labels), outputs, offsets
@@ -324,20 +311,13 @@ def _assemble_tags(model: TaggerModel, labels, choices, offsets) -> list[tuple[s
 
 def decode(model: TaggerModel, tokens) -> tuple[str, ...]:
     """Tags of one utterance, through the same path as ``predict_corpus``."""
-    return _assemble_tags(model, *_predict(model, [tokens], keep_probs=False))[0]
-
-
-def predict_lattice(model: TaggerModel, tokens) -> PredictionLattice:
-    """Stage-1 head probabilities; ACD kinds append the projected stage-2
-    dimension-2 probabilities."""
-    labels, probs, _ = _predict(model, [tokens], keep_probs=True)
-    return PredictionLattice(labels, tuple(probs))
+    return _assemble_tags(model, *_predict(model, [tokens]))[0]
 
 
 def predict_corpus(model: TaggerModel, corpus: Corpus) -> list[tuple[str, ...]]:
     """Tags of every utterance, with each stage batched over the corpus."""
     token_seqs = [u.tokens for u in corpus]
-    return _assemble_tags(model, *_predict(model, token_seqs, keep_probs=False))
+    return _assemble_tags(model, *_predict(model, token_seqs))
 
 
 def evaluate_model(model: TaggerModel, corpus: Corpus) -> EvalReport:
@@ -611,7 +591,7 @@ def train_acd(
         iobs = [prefixes for prefixes, _ in gold]
         dim1s = [[b[0] for b in branches] for _, branches in gold]
     else:
-        choices = _head_outputs(model.stage1, word_ids, keep_probs=False)
+        choices = _head_outputs(model.stage1, word_ids)
         iobs, dim1s = _stage1_labels(model, choices, _offsets(word_ids))
     items, groups = _stage2_inputs(model, token_seqs, word_ids, iobs, dim1s)
     encoded = []
@@ -895,40 +875,53 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(obj, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def save_model(model: TaggerModel, directory, config: TrainingConfig | None = None) -> None:
-    """Write a self-contained bundle: manifest, ontology, vocabularies,
-    and one checkpoint per stage.  The manifest records the SHA-256 of
-    every file it lists."""
+    """Write a self-contained bundle: manifest, ontology, vocabularies, each
+    stage's parameter buffer as ``.npy`` and every stage's ``ShapeSpec`` in
+    ``shapes.json``.  The manifest records the SHA-256 of every file it
+    lists."""
     os.makedirs(directory, exist_ok=True)
-    paths = {
-        "ontology": os.path.join(directory, "ontology.txt"),
-        "vocab": os.path.join(directory, "vocab.txt"),
-        "stage1": os.path.join(directory, "stage1.txt"),
-    }
+    stages = {"stage1": model.stage1}
+    if model.stage2 is not None:
+        stages["stage2"] = model.stage2
+    files = {"ontology": "ontology.txt", "vocab": "vocab.txt", "shapes": "shapes.json"}
+    files.update((name, f"{name}.npy") for name in stages)
+    if model.stage2_vocab is not None:
+        files["stage2_vocab"] = "stage2_vocab.txt"
+    paths = {name: os.path.join(directory, base) for name, base in files.items()}
     write_ontology(model.ontology, paths["ontology"])
     model.vocab.save(paths["vocab"])
-    neural.save_params(model.stage1, paths["stage1"])
-    if model.stage2 is not None:
-        paths["stage2"] = os.path.join(directory, "stage2.txt")
-        neural.save_params(model.stage2, paths["stage2"])
+    _write_json({name: params.shape.to_json() for name, params in stages.items()},
+                paths["shapes"])
+    for name, params in stages.items():
+        neural.save_params(params, paths[name])
     if model.stage2_vocab is not None:
-        paths["stage2_vocab"] = os.path.join(directory, "stage2_vocab.txt")
         model.stage2_vocab.save(paths["stage2_vocab"])
     manifest = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
         "dims_used": model.dims_used,
         "ontology_sha256": ontology_hash(model.ontology),
-        "files": {name: os.path.basename(p) for name, p in paths.items()},
+        "files": files,
         "sha256": {name: _sha256_file(p) for name, p in paths.items()},
         "config": dataclasses.asdict(config) if config is not None else None,
     }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(manifest, os.path.join(directory, "manifest.json"))
 
 
 _MANIFEST_KEYS = ("kind", "dims_used", "files", "sha256", "ontology_sha256")
+_REQUIRED_FILES = frozenset({"ontology", "vocab", "shapes", "stage1"})
 
 
 def _check_heads(what: str, params: ModelParams, needed) -> None:
@@ -956,10 +949,10 @@ def _check_bundle(model: TaggerModel) -> None:
         else 1 <= dims <= ontology.depth
     ):
         raise ModelError(f"dims_used {dims!r} does not fit a {kind} model")
-    if len(model.vocab) != model.stage1.tables[0].rows:
+    tables = [t.rows for t in model.stage1.tables]
+    if tables != [len(model.vocab)]:
         raise ModelError(
-            f"the vocabulary has {len(model.vocab)} tokens, the stage-1 table "
-            f"{model.stage1.tables[0].rows} rows"
+            f"the vocabulary has {len(model.vocab)} tokens, the stage-1 tables {tables} rows"
         )
     _check_heads("stage 1", model.stage1, _stage1_head_labels(kind, ontology, dims))
     if (model.stage2 is not None) != (kind in ACD_KINDS):
@@ -982,47 +975,79 @@ def _check_bundle(model: TaggerModel) -> None:
         raise ModelError(f"the stage-2 tables have {tables} rows, expected {expected}")
 
 
+def _read(path, reader):
+    """``reader(path)``; a failure to read or parse the file raises a
+    ModelError that names it."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, CorpusError, OntologyError, neural.NeuralError) as exc:
+        raise ModelError(f"{path}: {exc}") from None
+
+
+def _read_shapes(path) -> dict[str, ShapeSpec]:
+    shapes = _read_json(path)
+    if not isinstance(shapes, dict):
+        raise ValueError("not a JSON object")
+    return {name: ShapeSpec.from_json(obj) for name, obj in shapes.items()}
+
+
 def load_model(directory) -> TaggerModel:
     """Read a bundle written by ``save_model``.
 
-    Every listed file must match its SHA-256 in the manifest, and the
-    parts must fit together (see ``_check_bundle``); a missing manifest
-    entry, a mismatch or a misfit raises ModelError.
+    The manifest must be a JSON object whose files are plain names inside
+    the bundle.  Every listed file must match its SHA-256 in the manifest,
+    and the parts must fit together (see ``_check_bundle``).  A missing
+    manifest entry or file, a file that does not parse, a mismatch or a
+    misfit raises ModelError.
     """
-    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest_path = os.path.join(directory, "manifest.json")
+    manifest = _read(manifest_path, _read_json)
+    if not isinstance(manifest, dict):
+        raise ModelError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != MODEL_FORMAT:
         raise ModelError(f"unsupported model format {manifest.get('format')!r}")
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ModelError(f"{directory}: the manifest has no {', '.join(missing)}")
     files, digests = manifest["files"], manifest["sha256"]
-    if not isinstance(files, dict) or not {"ontology", "vocab", "stage1"} <= set(files):
+    if not isinstance(files, dict) or not _REQUIRED_FILES <= set(files):
         raise ModelError(
-            f"{directory}: the manifest lists no ontology, vocab and stage1 files"
+            f"{directory}: the manifest lists no {', '.join(sorted(_REQUIRED_FILES))} files"
         )
+    bad = [
+        base for base in files.values()
+        if not isinstance(base, str) or base in ("", ".", "..") or os.path.basename(base) != base
+    ]
+    if bad:
+        raise ModelError(f"{directory}: the manifest lists {bad[0]!r}, not a file name")
     if not isinstance(digests, dict) or set(digests) != set(files):
         raise ModelError(f"{directory}: the manifest's sha256 does not cover its files")
     paths = {name: os.path.join(directory, base) for name, base in files.items()}
     for name, path in paths.items():
-        if _sha256_file(path) != digests[name]:
+        if _read(path, _sha256_file) != digests[name]:
             raise ModelError(f"{path}: does not match its SHA-256 in the manifest")
-    ontology = read_ontology(paths["ontology"])
+    ontology = _read(paths["ontology"], read_ontology)
     if ontology_hash(ontology) != manifest["ontology_sha256"]:
         raise ModelError(
             f"{paths['ontology']}: does not match the manifest's ontology_sha256"
         )
-    vocab = TokenVocabulary.load(paths["vocab"])
-    stage1 = neural.load_params(paths["stage1"])
-    stage2 = None
-    stage2_vocab = None
-    if "stage2" in paths:
-        stage2 = neural.load_params(paths["stage2"])
-    if "stage2_vocab" in paths:
-        stage2_vocab = TokenVocabulary.load(paths["stage2_vocab"])
+    shapes = _read(paths["shapes"], _read_shapes)
+    stages = [name for name in ("stage1", "stage2") if name in paths]
+    if set(shapes) != set(stages):
+        raise ModelError(
+            f"{paths['shapes']}: shapes for {sorted(shapes)}, but the bundle has {stages}"
+        )
+    params = {
+        name: _read(paths[name], lambda path: neural.load_params(path, shapes[name]))
+        for name in stages
+    }
+    vocabs = {
+        name: _read(paths[name], TokenVocabulary.load)
+        for name in ("vocab", "stage2_vocab") if name in paths
+    }
     model = TaggerModel(
-        manifest["kind"], ontology, vocab, stage1,
-        manifest["dims_used"], stage2, stage2_vocab,
+        manifest["kind"], ontology, vocabs["vocab"], params["stage1"],
+        manifest["dims_used"], params.get("stage2"), vocabs.get("stage2_vocab"),
     )
     _check_bundle(model)
     return model

@@ -21,15 +21,11 @@ position and head; gradients come from full backpropagation through time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-CHECKPOINT_MAGIC = "atomslot-params"
-CHECKPOINT_VERSION = 1
 
 
 class NeuralError(Exception):
@@ -74,10 +70,6 @@ class LstmCellParams:
     def hidden(self) -> int:
         return self.b.shape[0] // 4
 
-    @property
-    def input_dim(self) -> int:
-        return self.w.shape[1] - self.hidden
-
 
 @dataclass
 class SoftmaxHead:
@@ -110,6 +102,39 @@ class ShapeSpec:
 
     def table_frozen(self, k: int) -> int:
         return self.frozen_rows[k] if k < len(self.frozen_rows) else 0
+
+    def to_json(self) -> dict:
+        """The shape as JSON-ready lists; ``from_json`` reads it back."""
+        return {
+            "tables": [list(table) for table in self.tables],
+            "hidden": self.hidden,
+            "heads": [list(labels) for labels in self.heads],
+            "frozen_rows": list(self.frozen_rows),
+        }
+
+    @classmethod
+    def from_json(cls, obj) -> "ShapeSpec":
+        """The shape ``to_json`` wrote; anything else raises NeuralError."""
+        try:
+            shape = cls(
+                tuple(tuple(table) for table in obj["tables"]),
+                obj["hidden"],
+                tuple(tuple(labels) for labels in obj["heads"]),
+                tuple(obj["frozen_rows"]),
+            )
+            counts = [shape.hidden, *shape.frozen_rows, *(n for t in shape.tables for n in t)]
+            valid = (
+                shape.to_json() == obj
+                and all(len(table) == 2 for table in shape.tables)
+                and all(type(n) is int and n >= 0 for n in counts)
+                and shape.hidden > 0
+                and all(isinstance(label, str) for head in shape.heads for label in head)
+            )
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            raise NeuralError("malformed shape: not what ShapeSpec.to_json writes")
+        return shape
 
 
 class ModelParams:
@@ -210,8 +235,8 @@ class ModelParams:
         return ModelParams(self.shape)
 
     def blocks(self):
-        """Named parameter arrays in canonical (checkpoint) order; each is a
-        contiguous view of the buffer."""
+        """Named parameter arrays in buffer order; each is a contiguous view
+        of the buffer."""
         for k, table in enumerate(self.tables):
             yield f"table{k}", table.weights
         yield "fwd.w", self.fwd.w
@@ -221,9 +246,6 @@ class ModelParams:
         for j, head in enumerate(self.heads):
             yield f"head{j}.w", head.w
             yield f"head{j}.b", head.b
-
-    def n_parameters(self) -> int:
-        return self.buffer.size
 
 
 @dataclass(frozen=True)
@@ -321,8 +343,33 @@ class _Cache:
         return np.concatenate([self.h[0, 1:], self.h[1, :0:-1]], axis=2)
 
 
+def _cell_update(z: np.ndarray, c_prev, c, tc, h) -> None:
+    """One LSTM step after the products: the pre-activations ``z`` (..., 4H)
+    become the gates i, f, o (sigmoid) and g (tanh); writes the new cell
+    state to ``c`` (which may be ``c_prev``), its tanh to ``tc``, and ``h``."""
+    H = z.shape[-1] // 4
+    # sigmoid(x) = (1 + tanh(x / 2)) / 2, so one tanh covers all four gates
+    sig = z[..., :3 * H]
+    sig *= 0.5
+    np.tanh(z, out=z)
+    sig *= 0.5
+    sig += 0.5
+    np.multiply(z[..., H:2 * H], c_prev, out=c)
+    c += z[..., :H] * z[..., 3 * H:]
+    np.tanh(c, out=tc)
+    np.multiply(z[..., 2 * H:3 * H], tc, out=h)
+
+
+def _recurrent_weights(params: ModelParams, B: int) -> np.ndarray:
+    """Both directions' W_h^T, (2, H, 4H), for ``h @ W_h^T`` over B rows."""
+    w_h = params.cells_w[:, :, -params.hidden:].transpose(0, 2, 1)
+    # the stacked transposed view is fast for one row, slow for several
+    return np.ascontiguousarray(w_h) if B > 1 else w_h
+
+
 def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
-    """Run both LSTM directions over ``B`` equal-length sequences in lockstep.
+    """Run both LSTM directions over ``B`` equal-length sequences in lockstep,
+    keeping every step's states for backpropagation.
 
     ``xs`` is (n, B, D), time-major.  One batched product projects every
     timestep for both directions before the loop, so only the stacked
@@ -338,27 +385,43 @@ def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
     gates = both.reshape(2, n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
     gates += params.cells_b[:, None]
     gates = gates.reshape(2, n, B, 4 * H)
-    w_h = params.cells_w[:, :, D:].transpose(0, 2, 1)
-    if B > 1:
-        # the stacked transposed view is fast for one row, slow for several
-        w_h = np.ascontiguousarray(w_h)
+    w_h = _recurrent_weights(params, B)
     c = np.zeros((2, n + 1, B, H))
     tc = np.empty((2, n, B, H))
     h = np.zeros((2, n + 1, B, H))
     for t in range(n):
         z = gates[:, t]
         z += h[:, t] @ w_h
-        # sigmoid(x) = (1 + tanh(x / 2)) / 2, so one tanh covers all four gates
-        sig = z[..., :3 * H]
-        sig *= 0.5
-        np.tanh(z, out=z)
-        sig *= 0.5
-        sig += 0.5
-        np.multiply(z[..., H:2 * H], c[:, t], out=c[:, t + 1])
-        c[:, t + 1] += z[..., :H] * z[..., 3 * H:]
-        np.tanh(c[:, t + 1], out=tc[:, t])
-        np.multiply(z[..., 2 * H:3 * H], tc[:, t], out=h[:, t + 1])
+        _cell_update(z, c[:, t], c[:, t + 1], tc[:, t], h[:, t + 1])
     return _Cache(both, gates, c, tc, h)
+
+
+def _features(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+    """The (B, n, 2H) features of ``B`` equal-length sequences, keeping no
+    per-step state: the inference twin of ``_run_cells``.
+
+    ``xs`` is (n, B, D), time-major.  Direction 1 reads the one input
+    projection in reversed time, and each step writes both directions'
+    states straight into their output positions.
+    """
+    n, B, D = xs.shape
+    H = params.hidden
+    proj = xs.reshape(n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
+    proj += params.cells_b[:, None]
+    proj = proj.reshape(2, n, B, 4 * H)
+    w_h = _recurrent_weights(params, B)
+    c = np.zeros((2, B, H))
+    tc = np.empty((2, B, H))
+    h = np.zeros((2, B, H))
+    out = np.empty((B, n, 2 * H))
+    for t in range(n):
+        z = h @ w_h
+        z[0] += proj[0, t]
+        z[1] += proj[1, n - 1 - t]
+        _cell_update(z, c, c, tc, h)
+        out[:, t, :H] = h[0]
+        out[:, n - 1 - t, H:] = h[1]
+    return out
 
 
 def _normalize_ids(params: ModelParams, ids) -> tuple[np.ndarray, ...]:
@@ -403,10 +466,12 @@ def blstm_forward(params: ModelParams, ids, masks: DropoutMasks | None = None) -
     return _forward(params, ids, masks).features
 
 
-# Sentences per lockstep group.  On 1000-sentence corpora at H=100, groups of
-# 48 tagged about 10% faster than groups of 32 and as fast as groups of 64;
-# each group's per-step caches, and with them peak memory, grow with its size.
-GROUP_CAP = 48
+# Sentences per lockstep group.  Each group's input projection and features,
+# and with them peak memory, grow with its size.  Without per-step caches, on
+# 1000 sentences of up to 14 tokens at H=100 (2 vCPUs), groups of 24, 32 and
+# 48 tagged equally fast (106, 105 and 103 ms; groups of 8 took 132 ms),
+# while their peak allocation was 4.0, 5.5 and 6.6 MB.
+GROUP_CAP = 24
 
 
 def blstm_forward_batch(params: ModelParams, items: Sequence):
@@ -414,10 +479,10 @@ def blstm_forward_batch(params: ModelParams, items: Sequence):
 
     ``items`` holds one id array, or one tuple of arrays, per sequence.
     Sequences are grouped by length and each group of at most ``GROUP_CAP``
-    runs through both directions in lockstep.  Yields ``(indices,
-    features)`` per group in order of increasing length, where ``indices``
-    are positions in ``items`` and ``features`` is (len(indices), n, 2H).
-    Empty sequences yield nothing.
+    runs through both directions in lockstep (``_features``).  Yields
+    ``(indices, features)`` per group in order of increasing length, where
+    ``indices`` are positions in ``items`` and ``features`` is a contiguous
+    (len(indices), n, 2H) array.  Empty sequences yield nothing.
     """
     seqs = [_normalize_ids(params, ids) for ids in items]
     by_length: dict[int, list[int]] = {}
@@ -435,7 +500,7 @@ def blstm_forward_batch(params: ModelParams, items: Sequence):
                 ],
                 axis=2,
             )
-            yield np.array(group), _run_cells(params, xs).features().transpose(1, 0, 2)
+            yield np.array(group), _features(params, xs)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -674,87 +739,25 @@ def gradient_check(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: versioned UTF-8 text, 17 significant digits per value
-
-def _format_row(row: np.ndarray) -> str:
-    return " ".join(f"{x:.17g}" for x in row)
-
+# parameter files: the flat buffer as one .npy array (NumPy's NEP 1 format)
 
 def save_params(params: ModelParams, path) -> None:
-    meta = {
-        "hidden": params.hidden,
-        "tables": [
-            {"rows": t.rows, "cols": t.cols, "frozen_rows": t.frozen_rows}
-            for t in params.tables
-        ],
-        "heads": [{"labels": list(h.labels)} for h in params.heads],
-    }
-    lines = [
-        f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}",
-        json.dumps(meta, sort_keys=True),
-    ]
-    for name, arr in params.blocks():
-        mat = arr if arr.ndim == 2 else arr.reshape(1, -1)
-        lines.append(f"block\t{name}\t{mat.shape[0]}\t{mat.shape[1]}")
-        for row in mat:
-            lines.append(_format_row(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the parameter buffer; its ``ShapeSpec`` is stored separately
+    (see ``ShapeSpec.to_json``)."""
+    with open(path, "wb") as fh:
+        np.save(fh, params.buffer, allow_pickle=False)
 
 
-def load_params(path) -> ModelParams:
-    """Read a checkpoint written by ``save_params``.
+def load_params(path, shape: ShapeSpec) -> ModelParams:
+    """Read a buffer written by ``save_params`` as parameters of ``shape``.
 
-    A truncated or malformed file, or one whose blocks disagree with its
-    metadata, raises NeuralError.  The checks run once per block.  The file
-    is read line by line, so only one line of text is held at a time, and
-    every row is parsed straight into the parameter buffer.
+    A file that is not one 1-D float64 array of ``shape``'s size raises
+    NeuralError.
     """
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if not first.startswith(CHECKPOINT_MAGIC):
-            raise NeuralError(f"{path}: not a parameter checkpoint")
-        version = first.split("v")[-1]
-        if version != str(CHECKPOINT_VERSION):
-            raise NeuralError(f"{path}: unsupported checkpoint version {version!r}")
-        try:
-            meta = json.loads(fh.readline())
-            shape = ShapeSpec(
-                tables=tuple((int(t["rows"]), int(t["cols"])) for t in meta["tables"]),
-                hidden=int(meta["hidden"]),
-                heads=tuple(tuple(h["labels"]) for h in meta["heads"]),
-                frozen_rows=tuple(int(t["frozen_rows"]) for t in meta["tables"]),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise NeuralError(f"{path}: bad checkpoint metadata ({exc!r})") from None
-        params = ModelParams(shape)
-        blocks = {
-            name: arr if arr.ndim == 2 else arr.reshape(1, -1)
-            for name, arr in params.blocks()
-        }
-        seen = set()
-        for line in fh:
-            header = line.rstrip("\n").split("\t")
-            if len(header) != 4 or header[0] != "block" or header[1] not in blocks:
-                raise NeuralError(f"{path}: expected block header, got {line!r}")
-            name = header[1]
-            data = blocks[name]
-            if header[2:] != [str(data.shape[0]), str(data.shape[1])]:
-                raise NeuralError(
-                    f"{path}: block {name} is {header[2]}x{header[3]}, "
-                    f"expected {data.shape[0]}x{data.shape[1]}"
-                )
-            try:
-                for r in range(data.shape[0]):
-                    data[r] = next(fh).split()
-            except StopIteration:
-                raise NeuralError(f"{path}: block {name} is truncated") from None
-            except ValueError:
-                raise NeuralError(
-                    f"{path}: block {name} has a row of the wrong width or a non-number"
-                ) from None
-            seen.add(name)
-    missing = [name for name in blocks if name not in seen]
-    if missing:
-        raise NeuralError(f"{path}: missing blocks {', '.join(missing)}")
-    return params
+    try:
+        buffer = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise NeuralError(f"{path}: not a parameter array ({exc})") from None
+    if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:
+        raise NeuralError(f"{path}: not a 1-D float64 array")
+    return ModelParams(shape, buffer)

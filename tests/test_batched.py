@@ -178,3 +178,16 @@ def test_batched_features_equal_the_per_sentence_loop(setting, kind):
     assert empty and seen == set(range(len(corpus))) - empty
     same = [k for k, u in enumerate(corpus) if len(u) == SAME_LENGTH]
     assert len(same) > neural.GROUP_CAP
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_cache_free_features_equal_the_training_kernel(setting, batch):
+    """Inference and training share the step math and the products, so the
+    cache-free pass gives the caching kernel's features bit for bit."""
+    model = make_model(ACD2, setting, seed=5)
+    params = model.stage2
+    rng = np.random.default_rng(batch)
+    xs = rng.normal(size=(7, batch, params.input_dim))
+    features = neural._features(params, xs)
+    assert features.flags.c_contiguous
+    assert np.array_equal(features, neural._run_cells(params, xs).features().transpose(1, 0, 2))

@@ -197,9 +197,9 @@ def test_eval_with_a_truncated_checkpoint_is_a_data_error(
 
     bundle = tmp_path / "model"
     shutil.copytree(trained / "model", bundle)
-    stage1 = bundle / "stage1.txt"
-    lines = stage1.read_text().splitlines(keepends=True)
-    stage1.write_text("".join(lines[: len(lines) // 2]))
+    stage1 = bundle / "stage1.npy"
+    data = stage1.read_bytes()
+    stage1.write_bytes(data[: len(data) // 2])
     assert run_command([
         "eval", "--test", str(workspace["test"]), "--model", str(bundle),
     ]) == 2
@@ -214,13 +214,36 @@ def test_a_checkpoint_six_characters_short_is_a_data_error(
 
     bundle = tmp_path / "model"
     shutil.copytree(trained / "model", bundle)
-    stage1 = bundle / "stage1.txt"
-    stage1.write_text(stage1.read_text()[:-7] + "\n")
+    stage1 = bundle / "stage1.npy"
+    stage1.write_bytes(stage1.read_bytes()[:-7] + b"\n")
     args = [command, "--test", str(workspace["test"]), "--model", str(bundle)]
     if command == "decode":
         args += ["--out", str(tmp_path / "d")]
     assert run_command(args) == 2
-    assert "stage1.txt" in capsys.readouterr().err
+    assert "stage1.npy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda manifest: [1, 2],
+        lambda manifest: {**manifest, "files": {"vocab": 3}},
+    ],
+    ids=["not-an-object", "a-file-name-that-is-a-number"],
+)
+def test_eval_with_a_malformed_manifest_is_a_data_error(
+    trained, workspace, tmp_path, capsys, edit
+):
+    import shutil
+
+    bundle = tmp_path / "model"
+    shutil.copytree(trained / "model", bundle)
+    manifest = bundle / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    assert run_command([
+        "eval", "--test", str(workspace["test"]), "--model", str(bundle),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_eval_requires_exactly_one_source(workspace, trained):
@@ -257,7 +280,8 @@ def test_adapt_reruns_byte_identically(workspace, tmp_path):
         if rel.name == "manifest.json" and rel.parent == Path("."):
             continue  # records --out, which differs by construction
         assert filecmp.cmp(one / rel, two / rel, shallow=False), rel
-    assert (one / "model" / "stage1.txt").exists()
+    assert (one / "model" / "stage1.npy").exists()
+    assert (one / "model" / "shapes.json").exists()
     assert (one / "source_log.txt").exists()
     assert (one / "target_log.txt").exists()
 

@@ -14,7 +14,6 @@ from atomslot.corpus import (
     SlotSpan,
     TaggedUtterance,
     TokenVocabulary,
-    align_values,
     builtin_flight_grammar,
     format_corpus,
     generate_synthetic,
@@ -327,26 +326,6 @@ def test_perturbed_values_unseen_with_that_slot():
     for u in out[:2]:
         for s in iob_to_spans(u.tokens, u.tags):
             assert s.value not in seen[s.slot]
-
-
-# ---------------------------------------------------------------------------
-# value alignment
-
-def test_align_values_simple():
-    spans = align_values(("fly", "to", "new", "york", "now"), (("city", "new york"),))
-    assert spans == (SlotSpan("city", 2, 4, ("new", "york")),)
-
-
-def test_align_values_leftmost_and_non_overlapping():
-    spans = align_values(
-        ("boston", "to", "boston"), (("a", "boston"), ("b", "boston"))
-    )
-    assert spans == (SlotSpan("a", 0, 1, ("boston",)), SlotSpan("b", 2, 3, ("boston",)))
-
-
-def test_align_values_case_insensitive_and_drops_missing():
-    spans = align_values(("Fly", "To", "Boston"), (("c", "boston"), ("d", "reno")))
-    assert spans == (SlotSpan("c", 2, 3, ("Boston",)),)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 import itertools
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomslot import neural
 from atomslot.corpus import Corpus, TaggedUtterance, preprocess, relabel_collapse
@@ -30,7 +36,6 @@ from atomslot.models import (
     js_head_labels,
     load_model,
     predict_corpus,
-    predict_lattice,
     run_experiment,
     save_model,
     source_key,
@@ -136,26 +141,33 @@ def test_decode_empty_sequence():
     assert decode(model, ()) == ()
 
 
+def head_probs(params, ids):
+    """Per head, the (n, C) class probabilities, from the per-sentence
+    forward pass."""
+    features = neural.blstm_forward(params, ids)
+    return [neural.head_forward(head, features) for head in params.heads]
+
+
 def test_ac_decode_matches_product_argmax():
     ontology = target_ontology()
     model = tagger(AC, ontology, target_corpus(), dims_used=2, seed=7)
     tokens = ("fly", "from", "boston", "to", "dallas", "on", "monday")
-    lattice = predict_lattice(model, tokens)
+    head_labels = [head.labels for head in model.stage1.heads]
+    probs = head_probs(model.stage1, model.vocab.encode(tokens))
     tags = decode(model, tokens)
     for t in range(len(tokens)):
         best_combo = max(
-            itertools.product(*[range(len(l)) for l in lattice.head_labels]),
+            itertools.product(*[range(len(l)) for l in head_labels]),
             key=lambda combo: float(
-                np.prod([lattice.probs[h][t, c] for h, c in enumerate(combo)])
+                np.prod([probs[h][t, c] for h, c in enumerate(combo)])
             ),
         )
-        iob = lattice.head_labels[0][best_combo[0]]
+        iob = head_labels[0][best_combo[0]]
         if iob == "O":
             assert tags[t] == "O"
         else:
             branch = tuple(
-                lattice.head_labels[h][best_combo[h]]
-                for h in range(1, len(best_combo))
+                head_labels[h][best_combo[h]] for h in range(1, len(best_combo))
             )
             assert tags[t].startswith(f"{iob}-")
             from atomslot.ontology import branch_to_slot
@@ -179,9 +191,11 @@ def test_ac_decode_names_unregistered_branches_canonically():
 
 def test_lattice_blocks_are_distributions():
     model = tagger(AC, target_ontology(), target_corpus(), dims_used=2, seed=3)
-    lattice = predict_lattice(model, ("fly", "to", "boston"))
-    assert len(lattice.probs) == 3
-    for block in lattice.probs:
+    probs = head_probs(model.stage1, model.vocab.encode(("fly", "to", "boston")))
+    assert len(probs) == 3
+    for block in probs:
+        assert block.shape[0] == 3
+        assert (block >= 0).all()
         np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -667,14 +681,77 @@ def _untrained_acd1_bundle(tmp_path):
     return model, tmp_path / "acd1"
 
 
-@pytest.mark.parametrize("name", ["stage1.txt", "stage2.txt", "stage2_vocab.txt", "vocab.txt"])
+@pytest.mark.parametrize(
+    "name", ["stage1.npy", "stage2.npy", "shapes.json", "stage2_vocab.txt", "vocab.txt"]
+)
 def test_load_model_rejects_any_listed_file_that_changed(tmp_path, name):
     _, bundle = _untrained_acd1_bundle(tmp_path)
     path = bundle / name
-    text = path.read_text()
-    # six characters short: for a checkpoint, the last bias loses digits
-    path.write_text(text[:-7] + "\n")
+    data = path.read_bytes()
+    # six bytes short: for a parameter file, the last value loses its top bytes
+    path.write_bytes(data[:-7] + b"\n")
     with pytest.raises(ModelError, match=name):
+        load_model(bundle)
+
+
+def _edit_manifest(bundle, edit):
+    import json
+
+    path = bundle / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def test_load_model_rejects_a_manifest_that_is_not_json(tmp_path):
+    bundle = _saved_js_bundle(tmp_path)
+    manifest = bundle / "manifest.json"
+    manifest.write_text(manifest.read_text()[:-3])
+    with pytest.raises(ModelError, match="manifest.json"):
+        load_model(bundle)
+
+
+def test_load_model_rejects_a_missing_listed_file(tmp_path):
+    bundle = _saved_js_bundle(tmp_path)
+    (bundle / "shapes.json").unlink()
+    with pytest.raises(ModelError, match="shapes.json"):
+        load_model(bundle)
+
+
+def test_load_model_rejects_a_file_outside_the_bundle(tmp_path):
+    bundle = _saved_js_bundle(tmp_path)
+    other = tmp_path / "b"
+    other.mkdir()
+    (other / "vocab.txt").write_bytes((bundle / "vocab.txt").read_bytes())
+
+    def escape(manifest):
+        manifest["files"]["vocab"] = "../b/vocab.txt"
+        return manifest
+
+    _edit_manifest(bundle, escape)
+    with pytest.raises(ModelError, match="not a file name"):
+        load_model(bundle)
+
+
+def test_load_model_rejects_shapes_that_miss_a_stage(tmp_path):
+    import hashlib
+    import json
+
+    _, bundle = _untrained_acd1_bundle(tmp_path)
+    shapes = bundle / "shapes.json"
+    shapes.write_text(json.dumps({"stage1": json.loads(shapes.read_text())["stage1"]}))
+
+    def rehash(manifest):
+        manifest["sha256"]["shapes"] = hashlib.sha256(shapes.read_bytes()).hexdigest()
+        return manifest
+
+    _edit_manifest(bundle, rehash)
+    with pytest.raises(ModelError, match="shapes"):
+        load_model(bundle)
+
+
+def test_load_model_rejects_a_text_bundle(tmp_path):
+    bundle = _saved_js_bundle(tmp_path)
+    _edit_manifest(bundle, lambda m: {**m, "format": "atomslot-model v1"})
+    with pytest.raises(ModelError, match="atomslot-model v1"):
         load_model(bundle)
 
 
@@ -730,6 +807,72 @@ def test_load_model_rejects_stage2_outside_acd_kinds(tmp_path):
     save_model(acd, tmp_path / "acd")
     with pytest.raises(ModelError, match="stage 2"):
         load_model(tmp_path / "acd")
+
+
+@pytest.fixture(scope="module")
+def intact_bundles(tmp_path_factory):
+    """Untrained JS and ACD1 bundles (H = 4), with the models they hold."""
+    root = tmp_path_factory.mktemp("intact")
+    ontology, source_ontology, source = source_setup()
+    acd1 = adjust_nn_arch(
+        tagger(ACD1, source_ontology, source, dims_used=1), source_ontology, ontology, seed=0
+    )
+    bundles = {}
+    for name, model in (("js", tagger(JS, ontology, target_corpus(), seed=1)), ("acd1", acd1)):
+        save_model(model, root / name, TINY)
+        bundles[name] = (root / name, model)
+    return bundles
+
+
+def assert_same_model(again, model):
+    assert (again.kind, again.dims_used) == (model.kind, model.dims_used)
+    assert again.ontology == model.ontology
+    assert again.vocab == model.vocab
+    assert again.stage2_vocab == model.stage2_vocab
+    for loaded, saved in ((again.stage1, model.stage1), (again.stage2, model.stage2)):
+        assert (loaded is None) == (saved is None)
+        if saved is not None:
+            assert loaded.shape == saved.shape
+            assert np.array_equal(loaded.buffer, saved.buffer)
+    probe = target_corpus("test")
+    assert predict_corpus(again, probe) == predict_corpus(model, probe)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_damaged_bundle_loads_equal_or_raises_a_typed_error(intact_bundles, data):
+    kind = data.draw(st.sampled_from(sorted(intact_bundles)), label="bundle")
+    source, model = intact_bundles[kind]
+    names = sorted(path.name for path in source.iterdir())
+    damage = data.draw(
+        st.sampled_from(["truncate", "flip", "delete", "rename", "flip manifest"]),
+        label="damage",
+    )
+    if damage == "flip manifest":
+        damage, name = "flip", "manifest.json"
+    else:
+        name = data.draw(st.sampled_from(names), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "bundle"
+        shutil.copytree(source, bundle)
+        path = bundle / name
+        raw = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="size")])
+        elif damage == "flip":
+            at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            mask = data.draw(st.integers(1, 255), label="mask")
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:])
+        elif damage == "delete":
+            path.unlink()
+        else:
+            target = data.draw(st.sampled_from(names + ["renamed"]), label="to")
+            os.replace(path, bundle / target)
+        try:
+            again = load_model(bundle)
+        except (ModelError, neural.NeuralError):
+            return
+    assert_same_model(again, model)
 
 
 def test_adjusted_parameters_live_in_one_buffer(tmp_path):

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -336,42 +338,44 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
         frozen_rows=(2, 0),
     )
     params = init_params(shape, 13)
-    path = tmp_path / "params.txt"
+    path = tmp_path / "params.npy"
     save_params(params, path)
-    again = load_params(path)
-    for (name, x), (_, y) in zip(params.blocks(), again.blocks()):
-        assert np.array_equal(x, y), name
+    again = load_params(path, ShapeSpec.from_json(json.loads(json.dumps(shape.to_json()))))
+    assert again.shape == shape
+    assert np.array_equal(again.buffer, params.buffer)
     assert again.hidden == params.hidden
     assert again.tables[0].frozen_rows == 2
     assert again.heads[0].labels == ("O", "B", "I")
 
 
 def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
+    path = tmp_path / "bad.npy"
     path.write_text("not a checkpoint\n")
     with pytest.raises(NeuralError):
-        load_params(path)
+        load_params(path, SHAPE)
 
 
-def _corrupt_truncated(lines):
-    return lines[: len(lines) // 2]
+def _npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=True)
+    return buffer.getvalue()
 
 
-def _corrupt_short_row(lines):
-    row = next(k for k, line in enumerate(lines) if line.startswith("block\t")) + 1
-    lines[row] = lines[row].rsplit(" ", 1)[0]
-    return lines
+def _corrupt_truncated(data, params):
+    return data[: len(data) // 2]
 
 
-def _corrupt_non_numeric(lines):
-    row = next(k for k, line in enumerate(lines) if line.startswith("block\tfwd.b")) + 1
-    lines[row] = "x" + lines[row][1:]
-    return lines
+def _corrupt_short_row(data, params):
+    # the header still announces every value; the last one is missing
+    return data[:-8]
 
 
-def _corrupt_missing_block(lines):
-    start = next(k for k, line in enumerate(lines) if line.startswith("block\thead0.b"))
-    return lines[:start]
+def _corrupt_non_numeric(data, params):
+    return data.replace(b"'<f8'", b"'|S8'", 1)
+
+
+def _corrupt_missing_block(data, params):
+    return _npy_bytes(params.buffer[: -params.heads[0].b.size])
 
 
 @pytest.mark.parametrize(
@@ -379,12 +383,54 @@ def _corrupt_missing_block(lines):
     [_corrupt_truncated, _corrupt_short_row, _corrupt_non_numeric, _corrupt_missing_block],
 )
 def test_load_rejects_damaged_checkpoints(tmp_path, corrupt):
-    path = tmp_path / "params.txt"
-    save_params(small_params(seed=2), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(corrupt(lines)) + "\n")
+    params = small_params(seed=2)
+    path = tmp_path / "params.npy"
+    save_params(params, path)
+    path.write_bytes(corrupt(path.read_bytes(), params))
     with pytest.raises(NeuralError):
-        load_params(path)
+        load_params(path, SHAPE)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _npy_bytes(small_params().buffer.astype(np.float32)),
+        _npy_bytes(np.arange(small_params().buffer.size)),
+        _npy_bytes(small_params().buffer.astype(object)),
+        _npy_bytes(np.zeros(small_params().buffer.size + 1)),
+        _npy_bytes(small_params().buffer.reshape(1, -1)),
+        b"\x93NUMPY\x01\x00 this is no array header",
+    ],
+    ids=["float32", "int64", "object", "wrong-length", "2-d", "not-npy"],
+)
+def test_load_rejects_files_that_are_not_the_buffer(tmp_path, data):
+    path = tmp_path / "params.npy"
+    path.write_bytes(data)
+    with pytest.raises(NeuralError):
+        load_params(path, SHAPE)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: [obj],
+        lambda obj: {**obj, "hidden": "3"},
+        lambda obj: {**obj, "hidden": 0},
+        lambda obj: {**obj, "hidden": True},
+        lambda obj: {**obj, "tables": [[9, 4, 1]]},
+        lambda obj: {**obj, "tables": [[9, -4]]},
+        lambda obj: {**obj, "tables": [[9, True]]},
+        lambda obj: {**obj, "heads": ["OBI"]},
+        lambda obj: {**obj, "heads": [["O", 1]]},
+        lambda obj: {**obj, "frozen_rows": 0},
+        lambda obj: {k: v for k, v in obj.items() if k != "heads"},
+        lambda obj: {**obj, "extra": 1},
+    ],
+)
+def test_shape_from_json_rejects_malformed_shapes(edit):
+    assert ShapeSpec.from_json(SHAPE.to_json()) == SHAPE
+    with pytest.raises(NeuralError):
+        ShapeSpec.from_json(edit(SHAPE.to_json()))
 
 
 # ---------------------------------------------------------------------------
