@@ -302,10 +302,17 @@ def _assemble_tags(model: TaggerModel, labels, choices, offsets) -> list[tuple[s
     if model.kind == JS:
         return [tuple(tags) for tags in _label_seqs(labels[0], choices[0], offsets)]
     chosen = [np.array(l, dtype=object)[c] for l, c in zip(labels, choices)]
-    tags = [
-        "O" if iob == "O" else f"{iob}-{branch_to_slot(model.ontology, tuple(branch))}"
-        for iob, *branch in zip(*chosen)
-    ]
+    # one string per distinct (IOB, branch), shared by every position
+    memo: dict[tuple, str] = {}
+    tags = []
+    for key in zip(*chosen):
+        tag = memo.get(key)
+        if tag is None:
+            iob, *branch = key
+            tag = memo[key] = (
+                "O" if iob == "O" else f"{iob}-{branch_to_slot(model.ontology, tuple(branch))}"
+            )
+        tags.append(tag)
     return [tuple(t) for t in _per_utterance(tags, offsets)]
 
 

@@ -11,7 +11,10 @@ input width D and hidden size H:
     head weights  w      (C, 2H)   one softmax head per labeling task
 
 Every parameter of a model lives in one contiguous float64 buffer (see
-``ModelParams``), and so does every gradient.  Everything is seeded.  The
+``ModelParams``), and so does every gradient.  The training kernel keeps its
+per-step states time-major, and its gates gate-major, in a workspace reused
+across calls (``_Workspace``), so that each step reads and writes one
+contiguous block per operand.  Everything is seeded.  The
 LSTM cell is the standard one (no peepholes); dropout touches only the
 non-recurrent connections, i.e. the embedded inputs and the features
 feeding the heads, with inverted scaling so evaluation needs no
@@ -326,38 +329,98 @@ def make_dropout_masks(
 # ---------------------------------------------------------------------------
 # forward
 
+class _Workspace:
+    """The training kernel's step buffers for B rows at hidden size H, and
+    every step's views of them, built once.  The buffers are time-major, so
+    that each step reads and writes contiguous blocks.
+
+    Forward: ``gates`` (N, 4, 2, B, H), gate-major in the order i, f, o, g,
+    holds the input projection, then the pre-activations, then the gates;
+    ``c`` and ``h`` (N + 1, 2, B, H) hold the cell and hidden states, whose
+    row 0 stays zero; ``tc`` (N, 2, B, H) holds tanh(c).  Backward:
+    ``dh_out`` (N, 2, B, H) holds each state's loss gradient; ``dc_of_dh``
+    (N, 2, B, H) and ``factors`` (N, 2, B, 4, H) the parts of dz that do not
+    depend on the gradients carried back; ``dz`` (N, 2, B, 4H) the gate
+    pre-activation gradients.  N is the ``capacity`` in steps.
+    """
+
+    def __init__(self, H: int, B: int, capacity: int):
+        N = self.capacity = capacity
+        self.gates = np.empty((N, 4, 2, B, H))
+        self.c = np.zeros((N + 1, 2, B, H))
+        self.tc = np.empty((N, 2, B, H))
+        self.h = np.zeros((N + 1, 2, B, H))
+        self.rec = np.empty((2, B, 4 * H))
+        # the recurrent product's gate-major view
+        self.rec_gates = self.rec.reshape(2, B, 4, H).transpose(2, 0, 1, 3)
+        self.dh_out = np.empty((N, 2, B, H))
+        self.dc_of_dh = np.empty((N, 2, B, H))
+        self.factors = np.empty((N, 2, B, 4, H))
+        self.dz = np.empty((N, 2, B, 4 * H))
+        # dh and dc of the current step, and the two carried from the next
+        self.dh, self.dc, self.dh_next, self.dc_next = np.empty((4, 2, B, H))
+        self.dc_gates = self.dc[:, :, None]  # broadcast over the four gates
+        c, h, gates, factors = self.c, self.h, self.gates, self.factors
+        self.forward_steps = [
+            (h[t], z, (z, z[:3], *z), c[t], c[t + 1], self.tc[t], h[t + 1])
+            for t, z in enumerate(gates)
+        ]
+        dz = self.dz.reshape(N, 2, B, 4, H)
+        # last step first, so that an n-step sequence takes the last n
+        self.backward_steps = [
+            (self.dh_out[t], self.dc_of_dh[t], factors[t], factors[t, :, :, 2],
+             dz[t], dz[t, :, :, 2], self.dz[t], gates[t, 1])
+            for t in reversed(range(N))
+        ]
+
+
+# one workspace per (hidden, rows), grown to the longest sequence; the
+# kernel is not safe across threads
+_WORKSPACES: dict[tuple[int, int], _Workspace] = {}
+
+
+def _workspace(H: int, B: int, n: int) -> _Workspace:
+    work = _WORKSPACES.get((H, B))
+    if work is None or work.capacity < n:
+        work = _WORKSPACES[H, B] = _Workspace(H, B, max(n, 16))
+    return work
+
+
 @dataclass
 class _Cache:
-    """Both directions' states over B equal-length sequences, direction
-    first.  Direction 0 runs forward; direction 1 runs in reversed time, so
-    its step t reads input n - 1 - t."""
+    """Both directions' states over B equal-length sequences, time-major.
+    Direction 0 runs forward; direction 1 runs in reversed time, so its
+    step t reads input n - 1 - t.  Every array but ``xs`` is a view of
+    ``work``, valid until the next ``_run_cells`` of the same H and B."""
 
     xs: np.ndarray     # (2, n, B, D) inputs, each direction in its own time
-    gates: np.ndarray  # (2, n, B, 4H) i, f, o after the sigmoid, g after tanh
-    c: np.ndarray      # (2, n + 1, B, H) cell states, c[:, 0] = 0
-    tc: np.ndarray     # (2, n, B, H) tanh(c[:, t + 1])
-    h: np.ndarray      # (2, n + 1, B, H) hidden states, h[:, 0] = 0
+    gates: np.ndarray  # (n, 4, 2, B, H) i, f, o after the sigmoid, g after tanh
+    c: np.ndarray      # (n + 1, 2, B, H) cell states, c[0] = 0
+    tc: np.ndarray     # (n, 2, B, H) tanh(c[t + 1])
+    h: np.ndarray      # (n + 1, 2, B, H) hidden states, h[0] = 0
+    work: _Workspace
 
     def features(self) -> np.ndarray:
         """(n, B, 2H): both directions' states at each input position."""
-        return np.concatenate([self.h[0, 1:], self.h[1, :0:-1]], axis=2)
+        return np.concatenate([self.h[1:, 0], self.h[:0:-1, 1]], axis=2)
 
 
-def _cell_update(z: np.ndarray, c_prev, c, tc, h) -> None:
-    """One LSTM step after the products: the pre-activations ``z`` (..., 4H)
-    become the gates i, f, o (sigmoid) and g (tanh); writes the new cell
-    state to ``c`` (which may be ``c_prev``), its tanh to ``tc``, and ``h``."""
-    H = z.shape[-1] // 4
+def _cell_update(gates: tuple, c_prev, c, tc, h) -> None:
+    """One LSTM step after the products.  ``gates`` holds views of the
+    pre-activations: all of them, the three sigmoid gates, then i, f, o and
+    g.  In place, i, f, o become sigmoids and g a tanh; then the new cell
+    state goes to ``c`` (which may be ``c_prev``), its tanh to ``tc``, and
+    the new hidden state to ``h``."""
+    z, sig, i, f, o, g = gates
     # sigmoid(x) = (1 + tanh(x / 2)) / 2, so one tanh covers all four gates
-    sig = z[..., :3 * H]
     sig *= 0.5
     np.tanh(z, out=z)
     sig *= 0.5
     sig += 0.5
-    np.multiply(z[..., H:2 * H], c_prev, out=c)
-    c += z[..., :H] * z[..., 3 * H:]
+    np.multiply(f, c_prev, out=c)
+    c += i * g
     np.tanh(c, out=tc)
-    np.multiply(z[..., 2 * H:3 * H], tc, out=h)
+    np.multiply(o, tc, out=h)
 
 
 def _recurrent_weights(params: ModelParams, B: int) -> np.ndarray:
@@ -374,26 +437,27 @@ def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
     ``xs`` is (n, B, D), time-major.  One batched product projects every
     timestep for both directions before the loop, so only the stacked
     recurrent product ``h @ W_h.T`` stays inside it, and each step updates
-    both directions with one call per operation.
+    both directions with one call per operation, on the workspace's
+    contiguous step blocks.
     """
     n, B, D = xs.shape
     H = params.hidden
+    work = _workspace(H, B, n)
     both = np.empty((2, n, B, D))
     both[0] = xs
     both[1] = xs[::-1]
-    # the projection buffer turns into the gate activations, step by step
-    gates = both.reshape(2, n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
-    gates += params.cells_b[:, None]
-    gates = gates.reshape(2, n, B, 4 * H)
+    proj = both.reshape(2, n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
+    proj += params.cells_b[:, None]
+    # the projection turns into the gate activations, step by step
+    gates = work.gates[:n]
+    gates[...] = proj.reshape(2, n, B, 4, H).transpose(1, 3, 0, 2, 4)
     w_h = _recurrent_weights(params, B)
-    c = np.zeros((2, n + 1, B, H))
-    tc = np.empty((2, n, B, H))
-    h = np.zeros((2, n + 1, B, H))
-    for t in range(n):
-        z = gates[:, t]
-        z += h[:, t] @ w_h
-        _cell_update(z, c[:, t], c[:, t + 1], tc[:, t], h[:, t + 1])
-    return _Cache(both, gates, c, tc, h)
+    rec, rec_gates = work.rec, work.rec_gates
+    for h_prev, z, views, c_prev, c, tc, h in work.forward_steps[:n]:
+        np.matmul(h_prev, w_h, out=rec)
+        z += rec_gates
+        _cell_update(views, c_prev, c, tc, h)
+    return _Cache(both, gates, work.c[:n + 1], work.tc[:n], work.h[:n + 1], work)
 
 
 def _features(params: ModelParams, xs: np.ndarray) -> np.ndarray:
@@ -413,12 +477,14 @@ def _features(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     c = np.zeros((2, B, H))
     tc = np.empty((2, B, H))
     h = np.zeros((2, B, H))
+    z = np.empty((2, B, 4 * H))
+    gates = (z, z[..., :3 * H], *np.split(z, 4, axis=2))
     out = np.empty((B, n, 2 * H))
     for t in range(n):
-        z = h @ w_h
+        np.matmul(h, w_h, out=z)
         z[0] += proj[0, t]
         z[1] += proj[1, n - 1 - t]
-        _cell_update(z, c, c, tc, h)
+        _cell_update(gates, c, c, tc, h)
         out[:, t, :H] = h[0]
         out[:, n - 1 - t, H:] = h[1]
     return out
@@ -523,46 +589,49 @@ def head_forward(head: SoftmaxHead, features: np.ndarray) -> np.ndarray:
 # loss and gradients
 
 def _backprop_cells(
-    params: ModelParams, cache: _Cache, dh_out: np.ndarray
+    params: ModelParams, cache: _Cache, dfeats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backpropagation through time for both directions at once.
 
-    ``dh_out`` (2, n, B, H) is the loss gradient of each state, in each
-    direction's own time.  Returns the gate pre-activation gradients ``dz``
-    (2, n * B, 4H) and the cell inputs ``xh`` = [x_t, h_{t-1}]
-    (2, n * B, D + H) they pair with, in each direction's own time, so
-    that dW = dz^T xh and db = sum(dz); and the input gradient dx
-    (n, B, D) in forward time.
+    ``dfeats`` (n, B, 2H) is the loss gradient of ``cache.features()``.
+    Returns the gate pre-activation gradients ``dz`` (2, n * B, 4H) and the
+    cell inputs ``xh`` = [x_t, h_{t-1}] (2, n * B, D + H) they pair with, in
+    each direction's own time, so that dW = dz^T xh and db = sum(dz); and
+    the input gradient dx (n, B, D) in forward time.  None of them shares
+    memory with the workspace.
     """
-    _, n, B, H4 = cache.gates.shape
-    H = H4 // 4
+    n, _, B, H = cache.tc.shape
     D = cache.xs.shape[3]
-    i, f, o, g = (cache.gates[..., k * H:(k + 1) * H] for k in range(4))
+    work = cache.work
+    work.dh_out[:n, 0] = dfeats[..., :H]
+    work.dh_out[:n, 1] = dfeats[::-1, :, H:]
+    i, f, o, g = cache.gates.swapaxes(0, 1)
     tc = cache.tc
     # everything that does not depend on the carried dh and dc, for all steps
-    dc_of_dh = o * (1.0 - tc * tc)
-    factors = np.empty((2, n, B, 4, H))
+    np.multiply(o, 1.0 - tc * tc, out=work.dc_of_dh[:n])
+    factors = work.factors[:n]
     factors[..., 0, :] = g * i * (1.0 - i)
-    factors[..., 1, :] = cache.c[:, :-1] * f * (1.0 - f)
+    factors[..., 1, :] = cache.c[:-1] * f * (1.0 - f)
     factors[..., 2, :] = tc * o * (1.0 - o)
     factors[..., 3, :] = i * (1.0 - g * g)
     w_h = params.cells_w[:, :, D:]
-    dz = np.empty((2, n, B, 4, H))
-    dh_next = np.zeros((2, B, H))
-    dc_next = np.zeros((2, B, H))
-    for t in range(n - 1, -1, -1):
-        dh = dh_out[:, t] + dh_next
-        dc = dh * dc_of_dh[:, t]
+    dh, dc, dh_next, dc_next = work.dh, work.dc, work.dh_next, work.dc_next
+    dh_next[...] = 0.0
+    dc_next[...] = 0.0
+    for dh_out_t, dc_of_dh_t, factors_t, factors_o_t, dz_t, dz_o_t, dz_rows_t, f_t in (
+        work.backward_steps[work.capacity - n:]
+    ):
+        np.add(dh_out_t, dh_next, out=dh)
+        np.multiply(dh, dc_of_dh_t, out=dc)
         dc += dc_next
-        step = dz[:, t]
-        np.multiply(factors[:, t], dc[:, :, None], out=step)
-        np.multiply(factors[:, t, :, 2], dh, out=step[:, :, 2])
-        dh_next = step.reshape(2, B, 4 * H) @ w_h
-        dc_next = dc * f[:, t]
-    dz = dz.reshape(2, n * B, 4 * H)
-    xh = np.concatenate([cache.xs, cache.h[:, :-1]], axis=3).reshape(2, n * B, D + H)
+        np.multiply(factors_t, work.dc_gates, out=dz_t)
+        np.multiply(factors_o_t, dh, out=dz_o_t)
+        np.matmul(dz_rows_t, w_h, out=dh_next)
+        np.multiply(dc, f_t, out=dc_next)
+    dz = work.dz[:n].swapaxes(0, 1).copy().reshape(2, n * B, 4 * H)
+    xh = np.concatenate([cache.xs, cache.h[:-1].swapaxes(0, 1)], axis=3)
     dx = (dz @ params.cells_w[:, :, :D]).reshape(2, n, B, D)
-    return dz, xh, dx[0] + dx[1, ::-1]
+    return dz, xh.reshape(2, n * B, D + H), dx[0] + dx[1, ::-1]
 
 
 def _joined(parts: list, axis: int = 0) -> np.ndarray:
@@ -606,7 +675,6 @@ def loss_and_gradients(
     """
     grads = params.zeros_like()
     total = 0.0
-    H = params.hidden
     dlogits_all, head_in_all, dz_all, xh_all, dx_all, ids_all = [], [], [], [], [], []
     for b, (ids, labels) in enumerate(batch):
         item_masks = masks[b] if masks is not None else None
@@ -636,10 +704,7 @@ def loss_and_gradients(
         dfeats = dlogits @ params.heads_w
         if fc.masks is not None:
             dfeats *= fc.masks.features
-        dh_out = np.empty((2, n, 1, H))
-        dh_out[0, :, 0] = dfeats[:, :H]
-        dh_out[1, :, 0] = dfeats[::-1, H:]
-        dz, xh, dx = _backprop_cells(params, fc.cells, dh_out)
+        dz, xh, dx = _backprop_cells(params, fc.cells, dfeats[:, None])
         dx = dx[:, 0]
         if fc.masks is not None:
             dx *= fc.masks.input

@@ -156,6 +156,20 @@ def test_gather_path_collapses_spans(setting):
     assert collapsed > 0
 
 
+@pytest.mark.parametrize("kind", [AC, ACD1])
+def test_equal_tags_are_one_string(setting, kind):
+    """Each distinct (IOB, branch) is named once, and every position with
+    that choice holds the same string object."""
+    corpus = setting[3]
+    model = make_model(kind, setting, seed=11)
+    tags = predict_corpus(model, corpus)
+    assert tags == [reference_decode(model, u.tokens) for u in corpus]
+    first = {}
+    for tag in (tag for seq in tags for tag in seq):
+        assert first.setdefault(tag, tag) is tag
+    assert sum(tag != "O" for tag in first) > 1
+
+
 @pytest.mark.parametrize("kind", [JS, ACD2])
 def test_batched_features_equal_the_per_sentence_loop(setting, kind):
     corpus = setting[3]

@@ -1,11 +1,16 @@
 """The flat parameter layout and the fused two-direction training step
-against the per-direction code they replaced.
+against the code they replaced.
 
-The reference below is the training step as it was before both LSTM
+The first reference below is the training step as it was before both LSTM
 directions shared one kernel: one direction at a time forward and back,
 each parameter block in its own array, and an SGD update block by block.
 The fused step groups its products differently, so gradients agree to
 1e-12, not bit for bit.
+
+The second is the fused kernel as it was before its step caches became
+time-major and gate-major, direction first with a fresh cache per call.
+The layout moved, but every product and elementwise operation kept its
+order, so gradients agree bit for bit.
 """
 
 import math
@@ -129,6 +134,130 @@ def reference_sgd_step(params, grads, learning_rate):
         p[frozen.get(name, 0):] -= learning_rate * g[frozen.get(name, 0):]
 
 
+def direction_major_cell_update(z, c_prev, c, tc, h):
+    H = z.shape[-1] // 4
+    sig = z[..., :3 * H]
+    sig *= 0.5
+    np.tanh(z, out=z)
+    sig *= 0.5
+    sig += 0.5
+    np.multiply(z[..., H:2 * H], c_prev, out=c)
+    c += z[..., :H] * z[..., 3 * H:]
+    np.tanh(c, out=tc)
+    np.multiply(z[..., 2 * H:3 * H], tc, out=h)
+
+
+def direction_major_run_cells(params, xs):
+    """Both directions over one sequence (n, 1, D), direction first."""
+    n, B, D = xs.shape
+    H = params.hidden
+    both = np.empty((2, n, B, D))
+    both[0] = xs
+    both[1] = xs[::-1]
+    gates = both.reshape(2, n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
+    gates += params.cells_b[:, None]
+    gates = gates.reshape(2, n, B, 4 * H)
+    w_h = params.cells_w[:, :, -H:].transpose(0, 2, 1)
+    c = np.zeros((2, n + 1, B, H))
+    tc = np.empty((2, n, B, H))
+    h = np.zeros((2, n + 1, B, H))
+    for t in range(n):
+        z = gates[:, t]
+        z += h[:, t] @ w_h
+        direction_major_cell_update(z, c[:, t], c[:, t + 1], tc[:, t], h[:, t + 1])
+    return both, gates, c, tc, h
+
+
+def direction_major_backprop_cells(params, cache, dh_out):
+    xs, gates, c, tc, h = cache
+    _, n, B, H4 = gates.shape
+    H = H4 // 4
+    D = xs.shape[3]
+    i, f, o, g = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    dc_of_dh = o * (1.0 - tc * tc)
+    factors = np.empty((2, n, B, 4, H))
+    factors[..., 0, :] = g * i * (1.0 - i)
+    factors[..., 1, :] = c[:, :-1] * f * (1.0 - f)
+    factors[..., 2, :] = tc * o * (1.0 - o)
+    factors[..., 3, :] = i * (1.0 - g * g)
+    w_h = params.cells_w[:, :, D:]
+    dz = np.empty((2, n, B, 4, H))
+    dh_next = np.zeros((2, B, H))
+    dc_next = np.zeros((2, B, H))
+    for t in range(n - 1, -1, -1):
+        dh = dh_out[:, t] + dh_next
+        dc = dh * dc_of_dh[:, t]
+        dc += dc_next
+        step = dz[:, t]
+        np.multiply(factors[:, t], dc[:, :, None], out=step)
+        np.multiply(factors[:, t, :, 2], dh, out=step[:, :, 2])
+        dh_next = step.reshape(2, B, 4 * H) @ w_h
+        dc_next = dc * f[:, t]
+    dz = dz.reshape(2, n * B, 4 * H)
+    xh = np.concatenate([xs, h[:, :-1]], axis=3).reshape(2, n * B, D + H)
+    dx = (dz @ params.cells_w[:, :, :D]).reshape(2, n, B, D)
+    return dz, xh, dx[0] + dx[1, ::-1]
+
+
+def direction_major_gradients(params, batch, masks=None):
+    """Loss and gradients through the direction-major fused kernel."""
+    grads = params.zeros_like()
+    total = 0.0
+    H = params.hidden
+    dlogits_all, head_in_all, dz_all, xh_all, dx_all, ids_all = [], [], [], [], [], []
+    for b, (ids, labels) in enumerate(batch):
+        m = masks[b] if masks is not None else None
+        seqs = ids if isinstance(ids, tuple) else (ids,)
+        xs = np.concatenate([t.weights[s] for t, s in zip(params.tables, seqs)], axis=1)
+        n = xs.shape[0]
+        if n == 0:
+            continue
+        if m is not None:
+            xs = xs * m.input
+        cache = direction_major_run_cells(params, xs[:, None])
+        h = cache[4]
+        features = np.concatenate([h[0, 1:], h[1, :0:-1]], axis=2)[:, 0]
+        head_input = features * m.features if m is not None else features
+        rows = np.arange(n)
+        dlogits = head_input @ params.heads_w.T + params.heads_b
+        for j, gold in enumerate(labels):
+            segment = dlogits[:, params.head_rows[j]]
+            logp = neural.log_softmax(segment)
+            total -= float(logp[rows, gold].sum())
+            np.exp(logp, out=segment)
+            segment[rows, gold] -= 1.0
+        dfeats = dlogits @ params.heads_w
+        if m is not None:
+            dfeats *= m.features
+        dh_out = np.empty((2, n, 1, H))
+        dh_out[0, :, 0] = dfeats[:, :H]
+        dh_out[1, :, 0] = dfeats[::-1, H:]
+        dz, xh, dx = direction_major_backprop_cells(params, cache, dh_out)
+        dx = dx[:, 0]
+        if m is not None:
+            dx *= m.input
+        dlogits_all.append(dlogits)
+        head_in_all.append(head_input)
+        dz_all.append(dz)
+        xh_all.append(xh)
+        dx_all.append(dx)
+        ids_all.append(seqs)
+    if not dz_all:
+        return total, grads
+    joined = neural._joined
+    dlogits, dz, dx = joined(dlogits_all), joined(dz_all, axis=1), joined(dx_all)
+    np.matmul(dlogits.T, joined(head_in_all), out=grads.heads_w)
+    np.sum(dlogits, axis=0, out=grads.heads_b)
+    np.matmul(dz.transpose(0, 2, 1), joined(xh_all, axis=1), out=grads.cells_w)
+    np.sum(dz, axis=1, out=grads.cells_b)
+    offset = 0
+    for k, table in enumerate(grads.tables):
+        np.add.at(table.weights, joined([item[k] for item in ids_all]),
+                  dx[:, offset:offset + table.cols])
+        offset += table.cols
+    return total, grads
+
+
 ONE_TABLE = ShapeSpec(
     tables=((12, 5),), hidden=4, heads=(("O", "B", "I"), ("null", "a", "b", "c"))
 )
@@ -181,6 +310,69 @@ def test_fused_gradients_over_a_batch_of_several_items():
     params = init_params(TWO_TABLES, 7, init_range=0.5)
     batch = [make_item(TWO_TABLES, rng, n) for n in (6, 0, 1, 11, 6)]
     assert_gradients_match(params, batch)
+
+
+def assert_bit_identical(params, batch, masks=None):
+    loss, grads = loss_and_gradients(params, batch, masks)
+    ref_loss, ref = direction_major_gradients(params, batch, masks)
+    assert loss == ref_loss
+    for (name, g), (_, r) in zip(grads.blocks(), ref.blocks()):
+        assert np.array_equal(g, r), name
+    return grads
+
+
+def fixed_masks(params, lengths, seed=1):
+    return [
+        make_dropout_masks(rng_stream(seed, n), 0.4, n, params.input_dim, params.hidden)
+        for n in lengths
+    ]
+
+
+@pytest.mark.parametrize("shape", [ONE_TABLE, TWO_TABLES, FROZEN], ids=["one", "two", "frozen"])
+@pytest.mark.parametrize("n", [0, 1, 15])
+def test_gradients_equal_the_direction_major_kernel_bit_for_bit(shape, n):
+    rng = np.random.default_rng(n)
+    params = init_params(shape, 5, init_range=0.5)
+    batch = [make_item(shape, rng, n)]
+    assert_bit_identical(params, batch)
+    masks = fixed_masks(params, [n])
+    assert_bit_identical(params, batch, masks)
+
+
+@pytest.mark.parametrize("shape", [ONE_TABLE, TWO_TABLES, FROZEN], ids=["one", "two", "frozen"])
+def test_batch_gradients_equal_the_direction_major_kernel_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    params = init_params(shape, 7, init_range=0.5)
+    lengths = (6, 0, 1, 11, 1, 6)
+    batch = [make_item(shape, rng, n) for n in lengths]
+    assert_bit_identical(params, batch)
+    masks = fixed_masks(params, lengths)
+    masks[2] = None
+    assert_bit_identical(params, batch, masks)
+
+
+def test_the_reused_workspace_leaves_earlier_results_alone(monkeypatch):
+    """Lengths that shrink, vanish and outgrow the workspace, over two
+    shapes of one hidden size, so that both share one workspace."""
+    monkeypatch.setattr(neural, "_WORKSPACES", {})
+    rng = np.random.default_rng(12)
+    shapes = [ONE_TABLE, TWO_TABLES]
+    models = [init_params(shape, 13 + k, init_range=0.5) for k, shape in enumerate(shapes)]
+    kept = []
+    for k, n in enumerate((15, 2, 0, 40, 1)):
+        shape, params = shapes[k % 2], models[k % 2]
+        item = make_item(shape, rng, n)
+        grads = assert_bit_identical(params, [item], fixed_masks(params, [n], seed=k))
+        features = neural.blstm_forward(params, item[0])
+        assert features.shape == (n, 2 * params.hidden)
+        if n == 0:
+            assert not grads.buffer.any()
+        kept.append((grads, grads.buffer.copy(), features, features.copy()))
+    assert list(neural._WORKSPACES) == [(ONE_TABLE.hidden, 1)]
+    assert neural._WORKSPACES[ONE_TABLE.hidden, 1].capacity == 40
+    for grads, grads_then, features, features_then in kept:
+        assert np.array_equal(grads.buffer, grads_then)
+        assert np.array_equal(features, features_then)
 
 
 def test_sgd_step_matches_the_per_block_update():
