@@ -92,5 +92,6 @@ from .ontology import (
     slot_to_branch,
     write_ontology,
 )
+from .workers import WorkerLost
 
 __version__ = "0.1.0"

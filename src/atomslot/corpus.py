@@ -264,26 +264,31 @@ class TokenVocabulary:
 
     @classmethod
     def load(cls, path) -> "TokenVocabulary":
-        out = cls()
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                idx_text, _, token = line.partition("\t")
-                try:
-                    idx = int(idx_text)
-                except ValueError:
-                    raise ParseError(f"bad vocabulary id {idx_text!r}", lineno) from None
-                if token in out._ids:
-                    if out._ids[token] != idx:
-                        raise ParseError(f"conflicting id for {token!r}", lineno)
-                    continue
-                if idx != len(out._ids):
-                    raise ParseError(
-                        f"non-dense vocabulary id {idx} for {token!r}", lineno
-                    )
-                out._ids[token] = idx
+            return cls.read(fh)
+
+    @classmethod
+    def read(cls, lines: Iterable[str]) -> "TokenVocabulary":
+        """The vocabulary ``save`` wrote, from the lines of its file."""
+        out = cls()
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            idx_text, _, token = line.partition("\t")
+            try:
+                idx = int(idx_text)
+            except ValueError:
+                raise ParseError(f"bad vocabulary id {idx_text!r}", lineno) from None
+            if token in out._ids:
+                if out._ids[token] != idx:
+                    raise ParseError(f"conflicting id for {token!r}", lineno)
+                continue
+            if idx != len(out._ids):
+                raise ParseError(
+                    f"non-dense vocabulary id {idx} for {token!r}", lineno
+                )
+            out._ids[token] = idx
         return out
 
 

@@ -17,14 +17,17 @@ the target data.  Presets ending in ``_T`` skip the source steps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neural
+from . import neural, workers
 from .corpus import (
     Corpus,
     CorpusError,
@@ -48,7 +51,7 @@ from .ontology import (
     branch_to_slot,
     ontology_diff,
     ontology_hash,
-    read_ontology,
+    parse_ontology,
     write_ontology,
 )
 
@@ -434,68 +437,119 @@ def _mean_loss(params: ModelParams, encoded) -> float:
     return total / len(encoded)
 
 
+def _run_candidate(ci, lr, start, encoded, valid_f1, config: TrainingConfig,
+                   rng_salt: int, shared_loss):
+    """Train grid candidate ``ci`` at learning rate ``lr``; returns its log
+    and its best snapshot.
+
+    ``start`` is a template to copy, whose mean loss ``shared_loss`` the
+    caller computed once, or a function drawing fresh parameters from the
+    candidate's RNG.  The candidate draws from its own RNG stream; shuffling
+    depends only on (seed, epoch), so every candidate sees the same data
+    order.  A gradient that goes non-finite stops the candidate there; it
+    is logged as diverged and keeps its best snapshot so far.
+    """
+    rng = neural.rng_stream(config.seed, _SALT_INIT, rng_salt, ci)
+    if shared_loss is None:
+        params = start(rng)
+        log = CandidateLog(lr, _mean_loss(params, encoded))
+    else:
+        params = start.copy()
+        log = CandidateLog(lr, shared_loss)
+    best_params = params.copy()
+    for epoch in range(1, config.epochs + 1):
+        order = neural.rng_stream(config.seed, _SALT_SHUFFLE, epoch).permutation(
+            len(encoded)
+        )
+        total = 0.0
+        try:
+            for i in order:
+                ids, gold = encoded[i]
+                masks = neural.make_dropout_masks(
+                    rng, config.dropout, _item_length(ids),
+                    params.input_dim, params.hidden,
+                )
+                loss, grads = neural.loss_and_gradients(
+                    params, [(ids, gold)], [masks] if masks is not None else None
+                )
+                neural.sgd_step(params, grads, lr)
+                total += loss
+        except neural.NonFiniteGradient:
+            log.diverged_epoch = epoch
+            break
+        f1 = valid_f1(params)
+        log.epochs.append(EpochStats(epoch, total / len(encoded), f1))
+        if log.best_f1 is None or f1 > log.best_f1:
+            log.best_f1 = f1
+            log.best_epoch = epoch
+            best_params = params.copy()
+    return log, best_params
+
+
+def _worker_count(rates: int) -> int:
+    """Processes that train a grid of ``rates`` candidates: one per usable
+    CPU, at most one per candidate.  One means in process, as for a single
+    rate or a single CPU, and also when a function the candidates call has
+    been replaced at run time (a profiler's wrapper, a test's stand-in),
+    which a worker importing the package afresh would not see."""
+    if any(getattr(module, name) is not fn for (module, name), fn in _CANDIDATE_CALLS.items()):
+        return 1
+    return min(rates, workers.usable_cpus())
+
+
 def _fit(start, encoded, valid_f1, config: TrainingConfig, rng_salt: int):
     """Grid search over learning rates with per-epoch validation snapshots.
 
     ``start`` is either a template every candidate copies, whose initial
     loss is then computed once, or a function drawing fresh parameters from
-    the candidate's RNG.  Every candidate draws from its own RNG stream;
-    shuffling depends only on (seed, epoch) so candidates see the same data
-    order.  The best validation F1 wins, ties going to the earlier grid
-    entry.
-
-    A candidate whose gradient goes non-finite stops there and is logged
-    as diverged; it keeps its best snapshot so far, and the grid goes on.
-    Only when every candidate diverges does training fail.
+    the candidate's RNG (see ``_run_candidate``).  With two or more
+    candidates and CPUs, the candidates train in worker processes
+    (``workers.run``), each with single-threaded BLAS; results do not
+    depend on where they ran.  The best validation F1 wins, ties going to
+    the earlier grid entry, whatever order the candidates finish in.  Only
+    when every candidate diverges does training fail.
     """
-    candidates: list[CandidateLog] = []
-    chosen = 0
-    chosen_key = float("-inf")
-    chosen_params = None
+    grid = config.grid()
     shared_loss = _mean_loss(start, encoded) if isinstance(start, ModelParams) else None
-    for ci, lr in enumerate(config.grid()):
-        rng = neural.rng_stream(config.seed, _SALT_INIT, rng_salt, ci)
-        if shared_loss is None:
-            params = start(rng)
-            log = CandidateLog(lr, _mean_loss(params, encoded))
-        else:
-            params = start.copy()
-            log = CandidateLog(lr, shared_loss)
-        best_params = params.copy()
-        for epoch in range(1, config.epochs + 1):
-            order = neural.rng_stream(config.seed, _SALT_SHUFFLE, epoch).permutation(
-                len(encoded)
-            )
-            total = 0.0
-            try:
-                for i in order:
-                    ids, gold = encoded[i]
-                    masks = neural.make_dropout_masks(
-                        rng, config.dropout, _item_length(ids),
-                        params.input_dim, params.hidden,
-                    )
-                    loss, grads = neural.loss_and_gradients(
-                        params, [(ids, gold)], [masks] if masks is not None else None
-                    )
-                    neural.sgd_step(params, grads, lr)
-                    total += loss
-            except neural.NonFiniteGradient:
-                log.diverged_epoch = epoch
-                break
-            f1 = valid_f1(params)
-            log.epochs.append(EpochStats(epoch, total / len(encoded), f1))
-            if log.best_f1 is None or f1 > log.best_f1:
-                log.best_f1 = f1
-                log.best_epoch = epoch
-                best_params = params.copy()
-        candidates.append(log)
-        key = log.best_f1 if log.best_f1 is not None else float("-inf")
-        if chosen_params is None or key > chosen_key:
-            chosen, chosen_key, chosen_params = ci, key, best_params
+    shared = (start, encoded, valid_f1, config, rng_salt, shared_loss)
+    count = _worker_count(len(grid))
+    if count > 1:
+        results = workers.run(count, _run_candidate, shared, list(enumerate(grid)))
+    else:
+        results = ((ci, _run_candidate(ci, lr, *shared)) for ci, lr in enumerate(grid))
+    candidates: list[CandidateLog] = [None] * len(grid)
+    chosen_key = chosen_params = None
+    for ci, (log, best_params) in results:
+        candidates[ci] = log
+        key = (log.best_f1 if log.best_f1 is not None else float("-inf"), -ci)
+        if chosen_key is None or key > chosen_key:
+            chosen_key, chosen_params = key, best_params
     if all(c.diverged_epoch is not None for c in candidates):
         rates = ", ".join(f"{c.learning_rate:g}" for c in candidates)
         raise TrainingDiverged(f"every learning-rate candidate diverged ({rates})")
-    return chosen_params, TrainLog(candidates, chosen)
+    return chosen_params, TrainLog(candidates, -chosen_key[1])
+
+
+def _fresh_params(shape: ShapeSpec, init_range: float, rng) -> ModelParams:
+    return neural.init_params(shape, rng, init_range)
+
+
+def _valid_f1(model: TaggerModel, stage: str, valid_corpus: Corpus, params) -> float:
+    """Validation F1 of ``model`` with ``params`` as its ``stage``."""
+    probe = dataclasses.replace(model, **{stage: params})
+    return evaluate(valid_corpus, predict_corpus(probe, valid_corpus)).f1
+
+
+# what a candidate calls, as the package defines it (see ``_worker_count``)
+_CANDIDATE_CALLS = {
+    (module, name): getattr(module, name)
+    for module, names in (
+        (neural, ("init_params", "make_dropout_masks", "loss_and_gradients",
+                  "sgd_step", "sequence_loss")),
+        (sys.modules[__name__], ("predict_corpus", "evaluate")),
+    )
+    for name in names
+}
 
 
 def train(
@@ -528,13 +582,18 @@ def train(
         vocab = initial.vocab
         dims_used = initial.dims_used
         head_labels = tuple(head.labels for head in initial.stage1.heads)
-        template = initial.stage1
+        start = initial.stage1
     else:
         if dims_used is None:
             dims_used = ontology.depth if kind == AC else 0
         vocab = TokenVocabulary.from_corpus(train_corpus)
         head_labels = _stage1_head_labels(kind, ontology, dims_used)
-        template = None
+        shape = ShapeSpec(
+            tables=((len(vocab), config.emb_dim),),
+            hidden=config.hidden,
+            heads=head_labels,
+        )
+        start = functools.partial(_fresh_params, shape, config.init_range)
     maps = [_index(labels) for labels in head_labels]
     encoded = []
     for u in train_corpus:
@@ -548,22 +607,11 @@ def train(
                 for d in range(dims_used)
             )
         encoded.append((ids, gold))
-    shape = ShapeSpec(
-        tables=((len(vocab), config.emb_dim),),
-        hidden=config.hidden,
-        heads=head_labels,
-    )
-
-    def fresh(rng):
-        return neural.init_params(shape, rng, config.init_range)
-
-    def valid_f1(params):
-        probe = TaggerModel(kind, ontology, vocab, params, dims_used)
-        return evaluate(valid_corpus, predict_corpus(probe, valid_corpus)).f1
-
-    start = template if template is not None else fresh
+    # stage 1 is each candidate's own
+    model = TaggerModel(kind, ontology, vocab, None, dims_used)
+    valid_f1 = functools.partial(_valid_f1, model, "stage1", valid_corpus)
     best_params, log = _fit(start, encoded, valid_f1, config, rng_salt)
-    return TaggerModel(kind, ontology, vocab, best_params, dims_used), log
+    return dataclasses.replace(model, stage1=best_params), log
 
 
 def train_acd(
@@ -607,19 +655,11 @@ def train_acd(
         firsts = np.array([positions[0] for positions in covered], dtype=np.int64)
         encoded.append((ids, (gold_ids[firsts],)))
 
-    def valid_f1(stage2_params):
-        probe = TaggerModel(
-            model.kind, ontology, model.vocab, model.stage1,
-            model.dims_used, stage2_params, model.stage2_vocab,
-        )
-        return evaluate(valid_corpus, predict_corpus(probe, valid_corpus)).f1
-
+    # stage 2 is each candidate's own
+    base = dataclasses.replace(model, ontology=ontology, stage2=None)
+    valid_f1 = functools.partial(_valid_f1, base, "stage2", valid_corpus)
     best_stage2, log = _fit(model.stage2, encoded, valid_f1, config, _SALT_STAGE2)
-    trained = TaggerModel(
-        model.kind, ontology, model.vocab, model.stage1,
-        model.dims_used, best_stage2, model.stage2_vocab,
-    )
-    return trained, log
+    return dataclasses.replace(base, stage2=best_stage2), log
 
 
 # ---------------------------------------------------------------------------
@@ -983,16 +1023,26 @@ def _check_bundle(model: TaggerModel) -> None:
 
 
 def _read(path, reader):
-    """``reader(path)``; a failure to read or parse the file raises a
-    ModelError that names it."""
+    """``reader()``; a failure to read or parse the file at ``path`` raises
+    a ModelError that names it."""
     try:
-        return reader(path)
+        return reader()
     except (OSError, ValueError, CorpusError, OntologyError, neural.NeuralError) as exc:
         raise ModelError(f"{path}: {exc}") from None
 
 
-def _read_shapes(path) -> dict[str, ShapeSpec]:
-    shapes = _read_json(path)
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _text(data: bytes):
+    """``data`` as a text file opened with ``encoding="utf-8"`` reads."""
+    return io.StringIO(data.decode("utf-8"), newline=None)
+
+
+def _parse_shapes(data: bytes) -> dict[str, ShapeSpec]:
+    shapes = json.load(_text(data))
     if not isinstance(shapes, dict):
         raise ValueError("not a JSON object")
     return {name: ShapeSpec.from_json(obj) for name, obj in shapes.items()}
@@ -1008,7 +1058,7 @@ def load_model(directory) -> TaggerModel:
     misfit raises ModelError.
     """
     manifest_path = os.path.join(directory, "manifest.json")
-    manifest = _read(manifest_path, _read_json)
+    manifest = _read(manifest_path, lambda: _read_json(manifest_path))
     if not isinstance(manifest, dict):
         raise ModelError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != MODEL_FORMAT:
@@ -1030,26 +1080,29 @@ def load_model(directory) -> TaggerModel:
     if not isinstance(digests, dict) or set(digests) != set(files):
         raise ModelError(f"{directory}: the manifest's sha256 does not cover its files")
     paths = {name: os.path.join(directory, base) for name, base in files.items()}
+    # each file is read once: its hash is checked, then those bytes are parsed
+    data = {}
     for name, path in paths.items():
-        if _read(path, _sha256_file) != digests[name]:
+        data[name] = _read(path, lambda: _read_bytes(path))
+        if hashlib.sha256(data[name]).hexdigest() != digests[name]:
             raise ModelError(f"{path}: does not match its SHA-256 in the manifest")
-    ontology = _read(paths["ontology"], read_ontology)
+    ontology = _read(paths["ontology"], lambda: parse_ontology(_text(data["ontology"]).read()))
     if ontology_hash(ontology) != manifest["ontology_sha256"]:
         raise ModelError(
             f"{paths['ontology']}: does not match the manifest's ontology_sha256"
         )
-    shapes = _read(paths["shapes"], _read_shapes)
+    shapes = _read(paths["shapes"], lambda: _parse_shapes(data["shapes"]))
     stages = [name for name in ("stage1", "stage2") if name in paths]
     if set(shapes) != set(stages):
         raise ModelError(
             f"{paths['shapes']}: shapes for {sorted(shapes)}, but the bundle has {stages}"
         )
     params = {
-        name: _read(paths[name], lambda path: neural.load_params(path, shapes[name]))
+        name: _read(paths[name], lambda: neural.load_params(paths[name], shapes[name], data[name]))
         for name in stages
     }
     vocabs = {
-        name: _read(paths[name], TokenVocabulary.load)
+        name: _read(paths[name], lambda: TokenVocabulary.read(_text(data[name])))
         for name in ("vocab", "stage2_vocab") if name in paths
     }
     model = TaggerModel(

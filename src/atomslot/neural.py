@@ -24,9 +24,11 @@ position and head; gradients come from full backpropagation through time.
 
 from __future__ import annotations
 
+import functools
+import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,6 +142,46 @@ class ShapeSpec:
         return shape
 
 
+class _Layout(NamedTuple):
+    """Where a shape's blocks lie in its flat buffer, derived and checked
+    once and shared by every ``ModelParams`` of the shape."""
+
+    size: int
+    tables: tuple[tuple[slice, tuple[int, int], int], ...]  # span, dims, frozen rows
+    stacked: tuple[tuple[slice, tuple[int, ...]], ...]  # cells_w, cells_b, heads_w, heads_b
+    head_rows: tuple[slice, ...]
+    trainable: tuple[slice, ...]
+
+
+def _layout(shape: ShapeSpec) -> _Layout:
+    H = shape.hidden
+    D = sum(cols for _, cols in shape.tables)
+    C = sum(len(labels) for labels in shape.heads)
+    pos = 0
+    tables, frozen_spans = [], []
+    for k, (rows, cols) in enumerate(shape.tables):
+        frozen = shape.table_frozen(k)
+        if not 0 <= frozen <= rows:
+            raise NeuralError(f"table {k} has {rows} rows, {frozen} frozen")
+        tables.append((slice(pos, pos + rows * cols), (rows, cols), frozen))
+        frozen_spans += [pos, pos + frozen * cols]
+        pos += rows * cols
+    stacked = []
+    for dims in ((2, 4 * H, D + H), (2, 4 * H), (C, 2 * H), (C,)):
+        stacked.append((slice(pos, pos + math.prod(dims)), dims))
+        pos += math.prod(dims)
+    head_rows, row = [], 0
+    for labels in shape.heads:
+        if len(set(labels)) != len(labels):
+            raise NeuralError("head labels must be unique")
+        head_rows.append(slice(row, row + len(labels)))
+        row += len(labels)
+    # SGD updates everything but each table's frozen prefix
+    edges = [0] + frozen_spans + [pos]
+    trainable = tuple(slice(a, b) for a, b in zip(edges[::2], edges[1::2]) if b > a)
+    return _Layout(pos, tuple(tables), tuple(stacked), tuple(head_rows), trainable)
+
+
 class ModelParams:
     """Embedding tables, the two LSTM directions and the softmax heads, as
     named views into one contiguous float64 buffer.
@@ -151,60 +193,57 @@ class ModelParams:
     ``tables``, ``fwd``, ``bwd`` and ``heads`` are views of it, so a write
     through them, or through ``blocks()``, is a write to the buffer.
     Gradients use the same layout (``zeros_like``).  A model that needs
-    other shapes is a new ``ModelParams``; see ``pack``.
+    other shapes is a new ``ModelParams``; see ``pack``.  Copies share the
+    checked layout, and ``fwd``, ``bwd`` and ``heads`` are built on first
+    use.  A pickle holds the shape and the buffer once.
     """
 
     def __init__(self, shape: ShapeSpec, buffer: np.ndarray | None = None):
         """Views over ``buffer``, or over a new zeroed buffer."""
-        H = shape.hidden
-        D = sum(cols for _, cols in shape.tables)
-        C = sum(len(labels) for labels in shape.heads)
-        size = sum(rows * cols for rows, cols in shape.tables) + 8 * H * (D + H + 1)
-        size += C * (2 * H + 1)
+        self._bind(shape, _layout(shape), buffer)
+
+    def _bind(self, shape: ShapeSpec, layout: _Layout, buffer: np.ndarray | None) -> None:
         if buffer is None:
-            buffer = np.zeros(size)
-        elif buffer.shape != (size,):
-            raise NeuralError(f"a buffer of shape {buffer.shape} for {size} parameters")
+            buffer = np.zeros(layout.size)
+        elif buffer.shape != (layout.size,):
+            raise NeuralError(f"a buffer of shape {buffer.shape} for {layout.size} parameters")
         self.shape = shape
-        self.hidden = H
+        self.hidden = shape.hidden
         self.buffer = buffer
-        pos = 0
-
-        def take(*dims):
-            nonlocal pos
-            count = math.prod(dims)
-            view = buffer[pos:pos + count].reshape(dims)
-            pos += count
-            return view
-
-        tables = []
-        frozen_spans = []
-        for k, (rows, cols) in enumerate(shape.tables):
-            frozen = shape.table_frozen(k)
-            if not 0 <= frozen <= rows:
-                raise NeuralError(f"table {k} has {rows} rows, {frozen} frozen")
-            frozen_spans += [pos, pos + frozen * cols]
-            tables.append(EmbeddingTable(take(rows, cols), frozen))
-        self.tables = tuple(tables)
-        self.cells_w = take(2, 4 * H, D + H)
-        self.cells_b = take(2, 4 * H)
-        self.heads_w = take(C, 2 * H)
-        self.heads_b = take(C)
-        self.fwd = LstmCellParams(self.cells_w[0], self.cells_b[0])
-        self.bwd = LstmCellParams(self.cells_w[1], self.cells_b[1])
-        heads, head_rows, row = [], [], 0
-        for labels in shape.heads:
-            rows = slice(row, row + len(labels))
-            heads.append(SoftmaxHead(self.heads_w[rows], self.heads_b[rows], labels))
-            head_rows.append(rows)
-            row = rows.stop
-        self.heads = tuple(heads)
+        self._layout = layout
+        self.tables = tuple([
+            EmbeddingTable(buffer[span].reshape(dims), frozen)
+            for span, dims, frozen in layout.tables
+        ])
+        self.cells_w, self.cells_b, self.heads_w, self.heads_b = [
+            buffer[span].reshape(dims) for span, dims in layout.stacked
+        ]
         # each head's rows in heads_w and heads_b
-        self.head_rows = tuple(head_rows)
-        # SGD updates everything but each table's frozen prefix
-        edges = [0] + frozen_spans + [size]
-        self.trainable = tuple(
-            slice(a, b) for a, b in zip(edges[::2], edges[1::2]) if b > a
+        self.head_rows = layout.head_rows
+        self.trainable = layout.trainable
+
+    def _over(self, buffer: np.ndarray) -> "ModelParams":
+        """The same layout over another buffer."""
+        out = ModelParams.__new__(ModelParams)
+        out._bind(self.shape, self._layout, buffer)
+        return out
+
+    def __reduce__(self):
+        return ModelParams, (self.shape, self.buffer)
+
+    @functools.cached_property
+    def fwd(self) -> LstmCellParams:
+        return LstmCellParams(self.cells_w[0], self.cells_b[0])
+
+    @functools.cached_property
+    def bwd(self) -> LstmCellParams:
+        return LstmCellParams(self.cells_w[1], self.cells_b[1])
+
+    @functools.cached_property
+    def heads(self) -> tuple[SoftmaxHead, ...]:
+        return tuple(
+            SoftmaxHead(self.heads_w[rows], self.heads_b[rows], labels)
+            for rows, labels in zip(self.head_rows, self.shape.heads)
         )
 
     @classmethod
@@ -232,10 +271,10 @@ class ModelParams:
         return sum(t.cols for t in self.tables)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.shape, self.buffer.copy())
+        return self._over(self.buffer.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(self.shape)
+        return self._over(np.zeros(self.buffer.size))
 
     def blocks(self):
         """Named parameter arrays in buffer order; each is a contiguous view
@@ -460,20 +499,20 @@ def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
     return _Cache(both, gates, work.c[:n + 1], work.tc[:n], work.h[:n + 1], work)
 
 
-def _features(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+def _features(params: ModelParams, xs: np.ndarray, w_h: np.ndarray) -> np.ndarray:
     """The (B, n, 2H) features of ``B`` equal-length sequences, keeping no
     per-step state: the inference twin of ``_run_cells``.
 
-    ``xs`` is (n, B, D), time-major.  Direction 1 reads the one input
-    projection in reversed time, and each step writes both directions'
-    states straight into their output positions.
+    ``xs`` is (n, B, D), time-major; ``w_h`` is ``_recurrent_weights(params,
+    B)``.  Direction 1 reads the one input projection in reversed time, and
+    each step writes both directions' states straight into their output
+    positions.
     """
     n, B, D = xs.shape
     H = params.hidden
     proj = xs.reshape(n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
     proj += params.cells_b[:, None]
     proj = proj.reshape(2, n, B, 4 * H)
-    w_h = _recurrent_weights(params, B)
     c = np.zeros((2, B, H))
     tc = np.empty((2, B, H))
     h = np.zeros((2, B, H))
@@ -550,6 +589,9 @@ def blstm_forward_batch(params: ModelParams, items: Sequence):
     ``indices`` are positions in ``items`` and ``features`` is a contiguous
     (len(indices), n, 2H) array.  Empty sequences yield nothing.
     """
+    # W_h^T as a view for one-sequence groups; its contiguous copy for the
+    # others is made once per call, at the first group that needs it
+    view, copy = _recurrent_weights(params, 1), None
     seqs = [_normalize_ids(params, ids) for ids in items]
     by_length: dict[int, list[int]] = {}
     for k, seq in enumerate(seqs):
@@ -566,7 +608,10 @@ def blstm_forward_batch(params: ModelParams, items: Sequence):
                 ],
                 axis=2,
             )
-            yield np.array(group), _features(params, xs)
+            if len(group) > 1 and copy is None:
+                copy = _recurrent_weights(params, len(group))
+            w_h = copy if len(group) > 1 else view
+            yield np.array(group), _features(params, xs, w_h)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -813,14 +858,16 @@ def save_params(params: ModelParams, path) -> None:
         np.save(fh, params.buffer, allow_pickle=False)
 
 
-def load_params(path, shape: ShapeSpec) -> ModelParams:
+def load_params(path, shape: ShapeSpec, data: bytes | None = None) -> ModelParams:
     """Read a buffer written by ``save_params`` as parameters of ``shape``.
+    ``data``, when given, is the file's content already read, and ``path``
+    only names it.
 
     A file that is not one 1-D float64 array of ``shape``'s size raises
     NeuralError.
     """
     try:
-        buffer = np.load(path, allow_pickle=False)
+        buffer = np.load(io.BytesIO(data) if data is not None else path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise NeuralError(f"{path}: not a parameter array ({exc})") from None
     if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:

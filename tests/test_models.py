@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomslot import neural
+from atomslot import models, neural
 from atomslot.corpus import Corpus, TaggedUtterance, preprocess, relabel_collapse
 from atomslot.models import (
     AC,
@@ -353,6 +353,8 @@ def _poisoned_training(monkeypatch, poison):
         return loss, grads
 
     monkeypatch.setattr(neural, "loss_and_gradients", loss_and_gradients)
+    # the stand-in lives in this process, so the grid trains here
+    monkeypatch.setattr(models, "_worker_count", lambda rates: 1)
     _, log = train(JS, ontology, corpus, valid, config)
     return log, poisoned, len(corpus)
 
@@ -694,6 +696,23 @@ def test_load_model_rejects_any_listed_file_that_changed(tmp_path, name):
         load_model(bundle)
 
 
+def test_load_model_reads_each_listed_file_once(tmp_path, monkeypatch):
+    import builtins
+    import json
+
+    _, bundle = _untrained_acd1_bundle(tmp_path)
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(
+        builtins, "open", lambda path, *a, **k: opened.append(str(path)) or real_open(path, *a, **k)
+    )
+    load_model(bundle)
+    monkeypatch.undo()
+    files = json.loads((bundle / "manifest.json").read_text())["files"]
+    for base in files.values():
+        assert opened.count(str(bundle / base)) == 1, base
+
+
 def _edit_manifest(bundle, edit):
     import json
 
@@ -897,6 +916,8 @@ def test_shared_template_computes_the_initial_loss_once(monkeypatch):
     monkeypatch.setattr(
         neural, "sequence_loss", lambda *args: calls.append(1) or real(*args)
     )
+    # the counter lives in this process, so the grid trains here
+    monkeypatch.setattr(models, "_worker_count", lambda rates: 1)
     model, fresh_log = train(JS, ontology, corpus, valid, grid)
     assert len(calls) == 3
     calls.clear()

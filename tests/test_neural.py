@@ -267,6 +267,21 @@ def test_sgd_step_closed_form():
     np.testing.assert_allclose(params.fwd.b, expected, atol=1e-15)
 
 
+def test_zeros_like_is_a_fresh_buffer_in_the_same_layout():
+    shape = ShapeSpec(tables=((6, 3), (4, 2)), hidden=2, heads=(("a", "b"), ("x", "y", "z")),
+                      frozen_rows=(2,))
+    params = init_params(shape, 1)
+    for twin in (params.zeros_like(), params.copy()):
+        assert twin.shape == params.shape
+        assert not np.shares_memory(twin.buffer, params.buffer)
+        assert twin.trainable == params.trainable and twin.head_rows == params.head_rows
+        for (name, block), (_, original) in zip(twin.blocks(), params.blocks()):
+            assert block.shape == original.shape, name
+            assert np.shares_memory(block, twin.buffer), name
+    assert not params.zeros_like().buffer.any()
+    assert [h.labels for h in params.copy().heads] == [("a", "b"), ("x", "y", "z")]
+
+
 def test_sgd_rejects_non_finite_gradients():
     params = small_params()
     grads = params.zeros_like()
