@@ -25,7 +25,6 @@ from .corpus import (
     read_corpus,
     read_grammar,
     relabel_collapse,
-    subset_corpus,
     write_corpus,
 )
 from .evaluation import EvalError, evaluate
@@ -187,27 +186,38 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    ontology = _load_ontology(args.ontology)
-    config = _training_config(args)
-    train_raw = read_corpus(args.train, role="target")
-    if args.subset is not None:
-        train_raw = subset_corpus(train_raw, args.subset, config.seed)
-    valid_raw = read_corpus(args.valid, role="validation")
-    train_pp, vocab = preprocess(train_raw)
-    valid_pp, _ = preprocess(valid_raw, vocab)
-    model, log = models.train(args.kind, ontology, train_pp, valid_pp, config)
+def _finish_run(args, model, config, logs, summary: str | None) -> int:
+    """Write the manifest, the model bundle and one file per training log,
+    print ``summary``, then score on ``--test`` when given."""
     _write_manifest(args, args.out)
     models.save_model(model, os.path.join(args.out, "model"), config)
-    _write_log(log, args.out, "train_log")
-    best = log.best
-    if best.best_f1 is not None:
-        print(f"best lr {best.learning_rate:g}, valid F1 {best.best_f1:.2f}")
+    for name, log in logs.items():
+        _write_log(log, args.out, name)
+    if summary is not None:
+        print(summary)
     if args.test is not None:
         report = models.evaluate_model(model, read_corpus(args.test, role="test"))
         _write_eval(report, args.out)
         print(f"test F1 {report.f1:.2f}")
     return 0
+
+
+def _cmd_train(args) -> int:
+    ontology = _load_ontology(args.ontology)
+    config = _training_config(args)
+    # training from scratch is the preset that skips the source steps
+    result = models.run_experiment(
+        f"{args.kind}_T", None, ontology, None, None,
+        read_corpus(args.train, role="target"),
+        read_corpus(args.valid, role="validation"),
+        config, subset=args.subset,
+    )
+    best = result.logs["target"].best
+    return _finish_run(
+        args, result.model, config, {"train_log": result.logs["target"]},
+        None if best.best_f1 is None
+        else f"best lr {best.learning_rate:g}, valid F1 {best.best_f1:.2f}",
+    )
 
 
 def _read_adapt_corpora(args):
@@ -233,18 +243,11 @@ def _cmd_adapt(args) -> int:
         source_train, source_valid, target_train, target_valid,
         config, subset=args.subset,
     )
-    _write_manifest(args, args.out)
-    models.save_model(result.model, os.path.join(args.out, "model"), config)
-    for phase, log in result.logs.items():
-        _write_log(log, args.out, f"{phase}_log")
-    print(f"preset {args.preset} done; phases: {', '.join(result.logs) or 'none'}")
-    if args.test is not None:
-        report = models.evaluate_model(
-            result.model, read_corpus(args.test, role="test")
-        )
-        _write_eval(report, args.out)
-        print(f"test F1 {report.f1:.2f}")
-    return 0
+    return _finish_run(
+        args, result.model, config,
+        {f"{phase}_log": log for phase, log in result.logs.items()},
+        f"preset {args.preset} done; phases: {', '.join(result.logs) or 'none'}",
+    )
 
 
 def _cmd_decode(args) -> int:
@@ -328,11 +331,13 @@ def _cmd_curve(args) -> int:
     config = _training_config(args)
     source_train, source_valid, target_train, target_valid = _read_adapt_corpora(args)
     test = read_corpus(args.test, role="test")
-    source_cache: dict[tuple, models.TaggerModel] = {}
-    rows = ["system\tsize\tf1"]
+    # every system's needs are checked before any of them trains
     for system in systems:
         if PRESETS[system][1] and source_ontology is None:
             raise UsageError(f"system {system} needs --source-ontology")
+    source_cache: dict[tuple, models.TaggerModel] = {}
+    rows = ["system\tsize\tf1"]
+    for system in systems:
         cache_key = models.source_key(system, source_ontology)
         for size in sizes:
             result = models.run_experiment(

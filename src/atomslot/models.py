@@ -41,7 +41,6 @@ from .evaluation import EvalReport, evaluate
 from .neural import (
     ModelParams,
     ShapeSpec,
-    SoftmaxHead,
     TrainingConfig,
 )
 from .ontology import (
@@ -148,17 +147,6 @@ class TaggerModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
-
-    def copy(self) -> "TaggerModel":
-        return TaggerModel(
-            kind=self.kind,
-            ontology=self.ontology,
-            vocab=self.vocab,
-            stage1=self.stage1.copy(),
-            dims_used=self.dims_used,
-            stage2=self.stage2.copy() if self.stage2 is not None else None,
-            stage2_vocab=self.stage2_vocab,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -620,15 +608,14 @@ def train_acd(
     train_corpus: Corpus,
     valid_corpus: Corpus,
     config: TrainingConfig,
-    teacher_forcing: bool = False,
 ) -> tuple[TaggerModel, TrainLog]:
     """Train the stage-2 labeler of an ACD model; stage 1 stays frozen.
 
     Stage-2 inputs come from stage-1 predictions on the training corpus
-    (computed once, since stage 1 does not move).  With ``teacher_forcing``
-    the gold IOB and dimension-1 labels shape the inputs instead.  The gold
-    dimension-2 label of a gathered span is read at the span's first
-    original position.
+    (computed once, since stage 1 does not move).  With
+    ``config.teacher_forcing`` the gold IOB and dimension-1 labels shape
+    the inputs instead.  The gold dimension-2 label of a gathered span is
+    read at the span's first original position.
     """
     if model.kind not in ACD_KINDS:
         raise ModelError(f"train_acd needs an ACD model, got {model.kind}")
@@ -642,7 +629,7 @@ def train_acd(
     token_seqs = [u.tokens for u in train_corpus]
     word_ids = [model.vocab.encode(tokens) for tokens in token_seqs]
     gold = [gold_branches(ontology, u) for u in train_corpus]
-    if teacher_forcing:
+    if config.teacher_forcing:
         iobs = [prefixes for prefixes, _ in gold]
         dim1s = [[b[0] for b in branches] for _, branches in gold]
     else:
@@ -665,25 +652,9 @@ def train_acd(
 # ---------------------------------------------------------------------------
 # architecture adjustment and the four-step adaptation
 
-def _extend_head(head: SoftmaxHead, new_labels, rng, init_range) -> SoftmaxHead:
-    fresh = [label for label in new_labels if label not in head.labels]
-    if not fresh:
-        return head
-    w_new = rng.uniform(-init_range, init_range, size=(len(fresh), head.w.shape[1]))
-    b_new = rng.uniform(-init_range, init_range, size=len(fresh))
-    return SoftmaxHead(
-        np.vstack([head.w, w_new]),
-        np.concatenate([head.b, b_new]),
-        head.labels + tuple(fresh),
-    )
-
-
-def _new_head(labels, hidden, rng, init_range) -> SoftmaxHead:
-    return SoftmaxHead(
-        rng.uniform(-init_range, init_range, size=(len(labels), 2 * hidden)),
-        rng.uniform(-init_range, init_range, size=len(labels)),
-        tuple(labels),
-    )
+def _grown(labels, new_labels) -> tuple[str, ...]:
+    """``labels`` followed by those of ``new_labels`` it lacks, in order."""
+    return tuple(labels) + tuple(label for label in new_labels if label not in labels)
 
 
 def _build_stage2(model, target_ontology, rng, init_range, concept_emb_dim):
@@ -733,36 +704,50 @@ def adjust_nn_arch(
     New classes get fresh uniform rows; every pre-existing parameter is
     preserved bit-exactly, so old-class logits cannot move.  ACD kinds
     additionally receive a fresh stage-2 BLSTM.  The extended stage 1 is
-    a new ``ModelParams``.
+    a new ``ModelParams`` whose heads hold their old rows, then the new
+    ones; the new rows are drawn head by head in index order, weights
+    before biases.
     """
     diff = ontology_diff(source_ontology, target_ontology)
     rng = neural.rng_stream(seed, _SALT_ADJUST)
-    out = model.copy()
-    out.ontology = target_ontology
     stage1 = model.stage1
-    heads = list(stage1.heads)
+    heads = [head.labels for head in stage1.heads]
+    dims_used = model.dims_used
     if model.kind == JS:
         new_slots = sorted(target_ontology.reverse[b] for b in diff.new_branches)
-        new_labels = [f"{p}-{s}" for s in new_slots for p in ("B", "I")]
-        heads[0] = _extend_head(heads[0], new_labels, rng, init_range)
+        heads[0] = _grown(heads[0], [f"{p}-{s}" for s in new_slots for p in ("B", "I")])
     elif model.kind == AC:
-        for d in range(model.dims_used):
-            heads[d + 1] = _extend_head(
-                heads[d + 1], sorted(diff.new_atoms[d]), rng, init_range
-            )
-        for d in range(model.dims_used, target_ontology.depth):
-            heads.append(
-                _new_head(
-                    dim_head_labels(target_ontology, d), stage1.hidden, rng, init_range
-                )
-            )
-        out.dims_used = target_ontology.depth
+        for d in range(dims_used):
+            heads[d + 1] = _grown(heads[d + 1], sorted(diff.new_atoms[d]))
+        heads += [dim_head_labels(target_ontology, d)
+                  for d in range(dims_used, target_ontology.depth)]
+        dims_used = target_ontology.depth
     else:
         # ACD kinds: extend the dimension-1 head, then build stage 2
         if target_ontology.depth != 2:
             raise ModelError("ACD adjustment is defined for two-level target ontologies")
-        heads[1] = _extend_head(heads[1], sorted(diff.new_atoms[0]), rng, init_range)
-    out.stage1 = ModelParams.pack(stage1.tables, stage1.fwd, stage1.bwd, heads)
+        heads[1] = _grown(heads[1], sorted(diff.new_atoms[0]))
+    # frozen rows spelled out per table, (0,) rather than (): the shapes.json
+    # of every adjusted model records them so
+    grown = ModelParams(dataclasses.replace(
+        stage1.shape, heads=tuple(heads),
+        frozen_rows=tuple(table.frozen_rows for table in stage1.tables),
+    ))
+    for new, old in zip(grown.tables, stage1.tables):
+        new.weights[...] = old.weights
+    grown.cells_w[...] = stage1.cells_w
+    grown.cells_b[...] = stage1.cells_b
+    for j, head in enumerate(grown.heads):
+        k = len(stage1.heads[j].labels) if j < len(stage1.heads) else 0
+        if k:
+            head.w[:k] = stage1.heads[j].w
+            head.b[:k] = stage1.heads[j].b
+        head.w[k:] = rng.uniform(-init_range, init_range, size=head.w[k:].shape)
+        head.b[k:] = rng.uniform(-init_range, init_range, size=head.b[k:].shape)
+    out = dataclasses.replace(
+        model, ontology=target_ontology, stage1=grown, dims_used=dims_used,
+        stage2=model.stage2.copy() if model.stage2 is not None else None,
+    )
     if model.kind in ACD_KINDS and (out.stage2 is None or not diff.is_empty):
         out.stage2, out.stage2_vocab = _build_stage2(
             out, target_ontology, rng, init_range, concept_emb_dim
@@ -818,57 +803,41 @@ def adapt(
         raise ModelError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     kind, uses_source = PRESETS[preset]
     logs: dict[str, TrainLog] = {}
+    adjusted = None
     if not uses_source:
-        model, tlog = train(
-            kind, target_ontology, target_train, target_valid, config,
-            rng_salt=_SALT_TARGET,
-        )
-        logs["target"] = tlog
-        return AdaptResult(preset, model, logs)
-    if source_ontology is None:
-        raise ModelError(f"preset {preset} needs a source ontology")
-    stage1_kind = AC if kind in ACD_KINDS else kind
-    if source_model is None:
-        if source_train is None or source_valid is None:
-            raise ModelError(f"preset {preset} needs source corpora")
-        source_model, slog = train(
-            stage1_kind, source_ontology, source_train, source_valid, config,
-            dims_used=1 if kind in ACD_KINDS else None,
-            rng_salt=_SALT_SOURCE,
-        )
-        logs["source"] = slog
-    elif source_model.kind != stage1_kind:
-        raise ModelError(
-            f"source model is {source_model.kind}, preset {preset} needs {stage1_kind}"
-        )
-    if kind in ACD_KINDS:
-        base = TaggerModel(
-            kind, source_ontology, source_model.vocab,
-            source_model.stage1.copy(), dims_used=1,
-        )
+        source_model = None
+    else:
+        if source_ontology is None:
+            raise ModelError(f"preset {preset} needs a source ontology")
+        stage1_kind = AC if kind in ACD_KINDS else kind
+        if source_model is None:
+            if source_train is None or source_valid is None:
+                raise ModelError(f"preset {preset} needs source corpora")
+            source_model, logs["source"] = train(
+                stage1_kind, source_ontology, source_train, source_valid, config,
+                dims_used=1 if kind in ACD_KINDS else None,
+                rng_salt=_SALT_SOURCE,
+            )
+        elif source_model.kind != stage1_kind:
+            raise ModelError(
+                f"source model is {source_model.kind}, preset {preset} needs {stage1_kind}"
+            )
         adjusted = adjust_nn_arch(
-            base, source_ontology, target_ontology, config.seed,
-            init_range=config.init_range, concept_emb_dim=config.concept_emb_dim,
+            dataclasses.replace(source_model, kind=kind), source_ontology, target_ontology,
+            config.seed, init_range=config.init_range,
+            concept_emb_dim=config.concept_emb_dim,
         )
         if len(target_train) == 0:
             return AdaptResult(preset, adjusted, logs, source_model)
-        model, tlog = train_acd(
-            target_ontology, adjusted, target_train, target_valid, config,
-            teacher_forcing=config.teacher_forcing,
+    if kind in ACD_KINDS:
+        model, logs["target"] = train_acd(
+            target_ontology, adjusted, target_train, target_valid, config
         )
-        logs["target"] = tlog
-        return AdaptResult(preset, model, logs, source_model)
-    adjusted = adjust_nn_arch(
-        source_model, source_ontology, target_ontology, config.seed,
-        init_range=config.init_range,
-    )
-    if len(target_train) == 0:
-        return AdaptResult(preset, adjusted, logs, source_model)
-    model, tlog = train(
-        kind, target_ontology, target_train, target_valid, config,
-        initial=adjusted, rng_salt=_SALT_TARGET,
-    )
-    logs["target"] = tlog
+    else:
+        model, logs["target"] = train(
+            kind, target_ontology, target_train, target_valid, config,
+            initial=adjusted, rng_salt=_SALT_TARGET,
+        )
     return AdaptResult(preset, model, logs, source_model)
 
 

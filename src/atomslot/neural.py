@@ -193,7 +193,8 @@ class ModelParams:
     ``tables``, ``fwd``, ``bwd`` and ``heads`` are views of it, so a write
     through them, or through ``blocks()``, is a write to the buffer.
     Gradients use the same layout (``zeros_like``).  A model that needs
-    other shapes is a new ``ModelParams``; see ``pack``.  Copies share the
+    other shapes is a new ``ModelParams`` filled through its views (as
+    ``models.adjust_nn_arch`` grows heads).  Copies share the
     checked layout, and ``fwd``, ``bwd`` and ``heads`` are built on first
     use.  A pickle holds the shape and the buffer once.
     """
@@ -246,26 +247,6 @@ class ModelParams:
             for rows, labels in zip(self.head_rows, self.shape.heads)
         )
 
-    @classmethod
-    def pack(cls, tables, fwd, bwd, heads) -> "ModelParams":
-        """Copy separately built blocks into a new buffer."""
-        shape = ShapeSpec(
-            tables=tuple(t.weights.shape for t in tables),
-            hidden=fwd.hidden,
-            heads=tuple(h.labels for h in heads),
-            frozen_rows=tuple(t.frozen_rows for t in tables),
-        )
-        out = cls(shape)
-        sources = [t.weights for t in tables] + [fwd.w, fwd.b, bwd.w, bwd.b]
-        sources += [arr for h in heads for arr in (h.w, h.b)]
-        for (name, block), source in zip(out.blocks(), sources):
-            if block.shape != source.shape:
-                raise NeuralError(
-                    f"block {name} is {source.shape}, expected {block.shape}"
-                )
-            block[...] = source
-        return out
-
     @property
     def input_dim(self) -> int:
         return sum(t.cols for t in self.tables)
@@ -277,8 +258,11 @@ class ModelParams:
         return self._over(np.zeros(self.buffer.size))
 
     def blocks(self):
-        """Named parameter arrays in buffer order; each is a contiguous view
-        of the buffer."""
+        """Named parameter arrays in the order ``init_params`` draws them:
+        each table, ``fwd.w``, ``fwd.b``, ``bwd.w``, ``bwd.b``, then each
+        head's weights and biases.  That is not buffer order, which stacks
+        both cells' weights before their biases and every head's weights
+        before theirs.  Each is a contiguous view of the buffer."""
         for k, table in enumerate(self.tables):
             yield f"table{k}", table.weights
         yield "fwd.w", self.fwd.w

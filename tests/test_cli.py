@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from atomslot import models
 from atomslot.cli import run_command
 from atomslot.corpus import read_corpus
 from atomslot.models import load_model
@@ -318,6 +319,28 @@ def test_adapt_missing_source_flags_is_a_data_error(workspace, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["JS", "AC"])
+def test_train_writes_what_the_target_only_preset_writes(workspace, tmp_path, kind):
+    flags = [
+        "--ontology", str(workspace["ontology"]),
+        "--train", str(workspace["train"]), "--valid", str(workspace["valid"]),
+        "--test", str(workspace["test"]), "--subset", "12",
+        "--epochs", "2", "--lr-grid", "0.05,0.1", "--dropout", "0.5",
+        "--emb-dim", "4", "--hidden", "4", "--seed", "3",
+    ]
+    trained, adapted = tmp_path / "train", tmp_path / "adapt"
+    assert run_command(["train", "--kind", kind, *flags, "--out", str(trained)]) == 0
+    assert run_command(
+        ["adapt", "--preset", f"{kind}_T", *flags, "--out", str(adapted)]
+    ) == 0
+    bundle = list_files(trained / "model")
+    assert bundle == list_files(adapted / "model")
+    for rel in bundle:
+        assert filecmp.cmp(trained / "model" / rel, adapted / "model" / rel, shallow=False), rel
+    for mine, theirs in (("train_log.txt", "target_log.txt"), ("eval.tsv", "eval.tsv")):
+        assert filecmp.cmp(trained / mine, adapted / theirs, shallow=False), mine
+
+
 # ---------------------------------------------------------------------------
 # curve
 
@@ -346,6 +369,19 @@ def test_curve_rejects_unknown_system(workspace, tmp_path):
         "--train", str(workspace["train"]), "--valid", str(workspace["valid"]),
         "--test", str(workspace["test"]), "--out", str(tmp_path / "c"),
     ]) == 1
+
+
+def test_curve_checks_every_system_before_training(workspace, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "run_experiment", lambda *a, **k: calls.append(a))
+    assert run_command([
+        "curve", "--systems", "JS_T,AC_TS", "--sizes", "8",
+        "--ontology", str(workspace["ontology"]),
+        "--train", str(workspace["train"]), "--valid", str(workspace["valid"]),
+        "--test", str(workspace["test"]), "--out", str(tmp_path / "c"), *FAST,
+    ]) == 1
+    assert calls == []
+    assert not (tmp_path / "c").exists()
 
 
 # ---------------------------------------------------------------------------

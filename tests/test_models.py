@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import shutil
@@ -326,8 +327,9 @@ def test_train_ac_and_acd_reject_tags_outside_ontology():
         tagger(ACD1, source_ontology, source, dims_used=1), source_ontology, ontology, seed=0
     )
     for teacher_forcing in (False, True):
+        config = dataclasses.replace(TINY, teacher_forcing=teacher_forcing)
         with pytest.raises(LabelNotInOntology):
-            train_acd(ontology, model, bad, valid, TINY, teacher_forcing)
+            train_acd(ontology, model, bad, valid, config)
 
 
 def _poisoned_training(monkeypatch, poison):
@@ -470,6 +472,58 @@ def test_adjust_acd2_concept_channel():
         len(base.stage1.heads[1].labels), 6
     )
     assert concept_table.frozen_rows == 0
+
+
+def reference_heads(before, after_labels, seed, init_range=0.2):
+    """Per head of the grown model, the weights and biases that adjustment
+    must produce: the old head's rows, then new rows drawn from the
+    adjustment stream (salt 301), head by head in index order, weights
+    before biases.  A head with no new labels draws nothing."""
+    rng = neural.rng_stream(seed, 301)
+    width = 2 * before.hidden
+    expected = []
+    for j, labels in enumerate(after_labels):
+        if j < len(before.heads):
+            w, b = before.heads[j].w, before.heads[j].b
+        else:
+            w, b = np.empty((0, width)), np.empty(0)
+        fresh = len(labels) - len(b)
+        if fresh:
+            w = np.vstack([w, rng.uniform(-init_range, init_range, size=(fresh, width))])
+            b = np.concatenate([b, rng.uniform(-init_range, init_range, size=fresh)])
+        expected.append((w, b))
+    return expected
+
+
+@pytest.mark.parametrize("kind, dims_used, grown", [
+    (JS, 0, [5 + 2 * 3]),
+    (AC, 1, [3, 4, 3]),
+    (ACD1, 1, [3, 4]),
+], ids=["JS", "AC", "ACD1"])
+def test_adjust_draws_new_rows_head_by_head(kind, dims_used, grown):
+    # the target adds a dimension-1 atom (airline) and two refined cities
+    source_ontology, _ = collapse_ontology(target_ontology(), 1)
+    ontology = build_ontology(2, (
+        ("from.city", ("city", "from")),
+        ("to.city", ("city", "to")),
+        ("day", ("day", "null")),
+        ("airline", ("airline", "null")),
+    ))
+    model = tagger(kind, source_ontology, source_setup()[2], dims_used=dims_used, seed=6)
+    adjusted = adjust_nn_arch(model, source_ontology, ontology, seed=5, init_range=0.3)
+    before, after = model.stage1, adjusted.stage1
+    assert [len(head.labels) for head in after.heads] == grown
+    for old, new in zip(before.heads, after.heads):
+        assert new.labels[:len(old.labels)] == old.labels
+    for old, new in zip(before.tables, after.tables):
+        assert np.array_equal(old.weights, new.weights)
+    assert np.array_equal(before.cells_w, after.cells_w)
+    assert np.array_equal(before.cells_b, after.cells_b)
+    expected = reference_heads(before, after.shape.heads, seed=5, init_range=0.3)
+    assert len(expected) == len(after.heads)
+    for j, (head, (w, b)) in enumerate(zip(after.heads, expected)):
+        assert np.array_equal(head.w, w), j
+        assert np.array_equal(head.b, b), j
 
 
 # ---------------------------------------------------------------------------

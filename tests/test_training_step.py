@@ -20,7 +20,6 @@ import pytest
 
 from atomslot import neural
 from atomslot.neural import (
-    ModelParams,
     NonFiniteGradient,
     ShapeSpec,
     init_params,
@@ -450,12 +449,3 @@ def test_a_write_through_blocks_reaches_sequence_loss():
             block[0] += 5.0
     assert sequence_loss(params, batch) != before
     assert params.heads_b[3] == params.heads[1].b[0]
-
-
-def test_pack_rejects_a_block_of_the_wrong_shape():
-    params = init_params(ONE_TABLE, 3)
-    heads = list(params.heads)
-    heads[0] = neural.SoftmaxHead(np.zeros((3, 7)), np.zeros(3), heads[0].labels)
-    with pytest.raises(neural.NeuralError):
-        ModelParams.pack(params.tables, params.fwd, params.bwd, heads)
-
