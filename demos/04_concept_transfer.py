@@ -15,7 +15,7 @@ computed once and shared where two systems need the same one.
 import time
 
 from atomslot.corpus import builtin_flight_grammar, generate_synthetic, relabel_collapse
-from atomslot.models import PRESETS, evaluate_model, run_experiment, source_key
+from atomslot.models import evaluate_model, learning_curve
 from atomslot.neural import TrainingConfig
 from atomslot.ontology import collapse_ontology
 
@@ -40,23 +40,13 @@ config = TrainingConfig(
 )
 
 scores = {}
-cache = {}
 started = time.monotonic()
-for system in SYSTEMS:
-    uses_source = PRESETS[system][1]
-    # AC_TS and ACD_TS_1 share the dimension-1 source model.
-    key = source_key(system, source_ontology)
-    for size in SIZES:
-        result = run_experiment(
-            system, source_ontology, ontology,
-            source_train, source_valid, target_pool, target_valid,
-            config, subset=size,
-            source_model=cache.get(key) if uses_source else None,
-        )
-        if uses_source and result.source_model is not None:
-            cache[key] = result.source_model
-        scores[system, size] = evaluate_model(result.model, test).f1
-        print(f"{system:<10} {size:>4} target sentences  F1 {scores[system, size]:6.2f}")
+for system, size, result in learning_curve(
+    SYSTEMS, SIZES, source_ontology, ontology,
+    source_train, source_valid, target_pool, target_valid, config,
+):
+    scores[system, size] = evaluate_model(result.model, test).f1
+    print(f"{system:<10} {size:>4} target sentences  F1 {scores[system, size]:6.2f}")
 
 print(f"\n{time.monotonic() - started:.0f}s total")
 print("\ntest F1 by target training size:")

@@ -53,6 +53,7 @@ from .models import (
     adjust_nn_arch,
     decode,
     evaluate_model,
+    learning_curve,
     load_model,
     predict_corpus,
     run_experiment,

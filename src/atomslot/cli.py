@@ -81,6 +81,17 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts and corpus seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_sizes(text: str) -> list[int | None]:
     sizes: list[int | None] = []
     for part in text.split(","):
@@ -273,6 +284,11 @@ def _cmd_eval(args) -> int:
     reference = read_corpus(args.test, role="test")
     if args.pred is not None:
         predicted = read_corpus(args.pred, role="test")
+        for index, (ref, pred) in enumerate(zip(reference, predicted)):
+            if ref.tokens != pred.tokens:
+                raise EvalError(
+                    f"utterance {index}: predicted tokens differ from the reference"
+                )
         report = evaluate(reference, [u.tags for u in predicted])
     else:
         report = models.evaluate_model(models.load_model(args.model), reference)
@@ -323,6 +339,8 @@ def _cmd_curve(args) -> int:
     for system in systems:
         if system not in PRESETS:
             raise UsageError(f"unknown system {system!r}; choose from {sorted(PRESETS)}")
+        if PRESETS[system][1] and not args.source_ontology:
+            raise UsageError(f"system {system} needs --source-ontology")
     sizes = _parse_sizes(args.sizes)
     target_ontology = _load_ontology(args.ontology)
     source_ontology = (
@@ -331,26 +349,14 @@ def _cmd_curve(args) -> int:
     config = _training_config(args)
     source_train, source_valid, target_train, target_valid = _read_adapt_corpora(args)
     test = read_corpus(args.test, role="test")
-    # every system's needs are checked before any of them trains
-    for system in systems:
-        if PRESETS[system][1] and source_ontology is None:
-            raise UsageError(f"system {system} needs --source-ontology")
-    source_cache: dict[tuple, models.TaggerModel] = {}
     rows = ["system\tsize\tf1"]
-    for system in systems:
-        cache_key = models.source_key(system, source_ontology)
-        for size in sizes:
-            result = models.run_experiment(
-                system, source_ontology, target_ontology,
-                source_train, source_valid, target_train, target_valid,
-                config, subset=size,
-                source_model=source_cache.get(cache_key) if cache_key else None,
-            )
-            if cache_key is not None and result.source_model is not None:
-                source_cache[cache_key] = result.source_model
-            report = models.evaluate_model(result.model, test)
-            label = "all" if size is None else str(size)
-            rows.append(f"{system}\t{label}\t{report.f1:.2f}")
+    for system, size, result in models.learning_curve(
+        systems, sizes, source_ontology, target_ontology,
+        source_train, source_valid, target_train, target_valid, config,
+    ):
+        report = models.evaluate_model(result.model, test)
+        label = "all" if size is None else str(size)
+        rows.append(f"{system}\t{label}\t{report.f1:.2f}")
     table = "\n".join(rows)
     print(table)
     _write_manifest(args, args.out)
@@ -386,8 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus from a grammar")
     p.add_argument("--grammar", default=BUILTIN)
     p.add_argument("--ontology", default=BUILTIN)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_non_negative_int, default=100)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--role", default="target",
                    choices=("source", "target", "validation", "test"))
     p.add_argument("--out", required=True)
@@ -407,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ontology", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_perturb)
 
@@ -417,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--valid", required=True)
     p.add_argument("--test")
-    p.add_argument("--subset", type=int, default=None)
+    p.add_argument("--subset", type=_non_negative_int, default=None)
     p.add_argument("--out", required=True)
     _add_training_flags(p)
     p.set_defaults(func=_cmd_train)
@@ -431,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-train")
     p.add_argument("--source-valid")
     p.add_argument("--test")
-    p.add_argument("--subset", type=int, default=None)
+    p.add_argument("--subset", type=_non_negative_int, default=None)
     p.add_argument("--out", required=True)
     _add_training_flags(p)
     p.set_defaults(func=_cmd_adapt)

@@ -755,20 +755,6 @@ def adjust_nn_arch(
     return out
 
 
-def source_key(preset: str, source_ontology: Ontology | None):
-    """What the source step of ``preset`` trains, as a hashable key: the
-    stage-1 kind and the number of dimensions it labels.  Presets with equal
-    keys, trained from the same source corpora and config, can share one
-    source model (``adapt``'s ``source_model``).  Target-only presets have
-    no source step: None."""
-    kind, uses_source = PRESETS[preset]
-    if not uses_source:
-        return None
-    if kind in ACD_KINDS:
-        return (AC, 1)
-    return (kind, source_ontology.depth)
-
-
 @dataclass
 class AdaptResult:
     preset: str
@@ -879,6 +865,36 @@ def run_experiment(
         preset, source_ontology, target_ontology, source_train, source_valid,
         target_train, target_valid, config, source_model,
     )
+
+
+def learning_curve(
+    systems, sizes, source_ontology: Ontology | None, target_ontology: Ontology,
+    source_train: Corpus | None, source_valid: Corpus | None,
+    target_train: Corpus, target_valid: Corpus, config: TrainingConfig,
+):
+    """Run ``run_experiment`` for each system, then each target subset
+    size (None for the full set), yielding ``(system, size, AdaptResult)``.
+
+    Presets whose source steps train the same model share it: the first
+    run trains it and later runs receive it as ``source_model``.  ACD kinds
+    train AC over dimension 1; the other ``*_TS`` presets train their own
+    kind over every source dimension; ``*_T`` presets have no source step.
+    """
+    source_models: dict[tuple, TaggerModel] = {}
+    for system in systems:
+        kind, uses_source = PRESETS.get(system, (None, False))
+        key = None
+        if uses_source and source_ontology is not None:
+            key = (AC, 1) if kind in ACD_KINDS else (kind, source_ontology.depth)
+        for size in sizes:
+            result = run_experiment(
+                system, source_ontology, target_ontology,
+                source_train, source_valid, target_train, target_valid,
+                config, subset=size, source_model=source_models.get(key),
+            )
+            if key is not None:
+                source_models[key] = result.source_model
+            yield system, size, result
 
 
 # ---------------------------------------------------------------------------

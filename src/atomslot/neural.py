@@ -298,14 +298,16 @@ class TrainingConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.init_range <= 0:
-            raise ValueError(f"init_range must be positive, got {self.init_range}")
+        if not (math.isfinite(self.init_range) and self.init_range > 0):
+            raise ValueError(
+                f"init_range must be finite and positive, got {self.init_range}"
+            )
         if self.emb_dim < 1 or self.hidden < 1 or self.concept_emb_dim < 1:
             raise ValueError("model dimensions must be positive")
         if not self.grid():
             raise ValueError("learning-rate grid is empty")
-        if any(lr <= 0 for lr in self.grid()):
-            raise ValueError("learning rates must be positive")
+        if not all(math.isfinite(lr) and lr > 0 for lr in self.grid()):
+            raise ValueError("learning rates must be finite and positive")
 
     def grid(self) -> tuple[float, ...]:
         if self.learning_rate is not None:

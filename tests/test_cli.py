@@ -6,7 +6,7 @@ import pytest
 
 from atomslot import models
 from atomslot.cli import run_command
-from atomslot.corpus import read_corpus
+from atomslot.corpus import Corpus, TaggedUtterance, read_corpus, write_corpus
 from atomslot.models import load_model
 from atomslot.ontology import read_ontology
 
@@ -189,6 +189,21 @@ def test_eval_pred_and_model_routes_agree(workspace, trained, tmp_path, capsys):
         tmp_path / "from_model" / "eval.tsv",
         shallow=False,
     )
+
+
+def test_eval_pred_with_other_tokens_is_a_data_error(workspace, tmp_path, capsys):
+    reference = read_corpus(workspace["test"], role="test")
+    renamed = list(reference)
+    renamed[3] = TaggedUtterance(("zzz",) * len(renamed[3]), renamed[3].tags)
+    write_corpus(Corpus(tuple(renamed), "test"), tmp_path / "pred.txt")
+    assert run_command([
+        "eval", "--test", str(workspace["test"]),
+        "--pred", str(tmp_path / "pred.txt"), "--out", str(tmp_path / "e"),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "error: utterance 3: predicted tokens differ from the reference\n"
+    )
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_with_a_truncated_checkpoint_is_a_data_error(
@@ -415,6 +430,37 @@ def test_malformed_corpus_exits_2(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--n", "-1"),
+    ("synth", "--seed", "-1"),
+    ("perturb", "--seed", "-1"),
+    ("train", "--subset", "-1"),
+    ("adapt", "--subset", "-2"),
+])
+def test_negative_count_or_seed_is_usage_error(
+    workspace, tmp_path, capsys, command, flag, value
+):
+    inputs = {
+        "synth": [],
+        "perturb": ["--ontology", str(workspace["ontology"]),
+                    "--train", str(workspace["train"]),
+                    "--test", str(workspace["test"])],
+        "train": ["--kind", "JS", "--ontology", str(workspace["ontology"]),
+                  "--train", str(workspace["train"]),
+                  "--valid", str(workspace["valid"]), *FAST],
+        "adapt": ["--preset", "JS_T", "--ontology", str(workspace["ontology"]),
+                  "--train", str(workspace["train"]),
+                  "--valid", str(workspace["valid"]), *FAST],
+    }[command]
+    assert run_command([
+        command, *inputs, flag, value, "--out", str(tmp_path / "o"),
+    ]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1
+    assert f"argument {flag}: must be >= 0, got {value}" in errors[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run_command(["frobnicate"]) == 1
     capsys.readouterr()
@@ -425,10 +471,19 @@ def test_no_arguments_exits_1(capsys):
     capsys.readouterr()
 
 
-def test_bad_training_flag_is_usage_error(workspace, tmp_path):
-    code = run_command([
-        "train", "--kind", "JS", "--ontology", str(workspace["ontology"]),
-        "--train", str(workspace["train"]), "--valid", str(workspace["valid"]),
-        "--out", str(tmp_path / "x"), "--dropout", "1.5",
-    ])
-    assert code == 1
+def test_bad_training_flag_is_usage_error(workspace, tmp_path, capsys):
+    for flags in (
+        ["--dropout", "1.5"],
+        ["--lr", "nan"],
+        ["--lr", "inf"],
+        ["--lr-grid", "0.1,nan"],
+        ["--lr-grid", "0.1,-inf"],
+    ):
+        code = run_command([
+            "train", "--kind", "JS", "--ontology", str(workspace["ontology"]),
+            "--train", str(workspace["train"]), "--valid", str(workspace["valid"]),
+            "--out", str(tmp_path / "x"), *flags,
+        ])
+        assert code == 1, flags
+        assert not (tmp_path / "x").exists(), flags
+        assert capsys.readouterr().err.startswith("error: "), flags

@@ -39,7 +39,6 @@ from atomslot.models import (
     predict_corpus,
     run_experiment,
     save_model,
-    source_key,
     train,
     train_acd,
 )
@@ -381,13 +380,44 @@ def test_training_fails_only_when_every_candidate_diverges(monkeypatch):
         _poisoned_training(monkeypatch, lambda k: k % (2 * n) == 0)
 
 
-def test_source_key_groups_presets_that_share_a_source_step():
-    _, source_ontology, _ = source_setup()
-    assert source_key("JS_T", source_ontology) is None
-    assert source_key("AC_T", None) is None
-    assert source_key("JS_TS", source_ontology) == (JS, source_ontology.depth)
-    shared = {source_key(p, source_ontology) for p in ("AC_TS", "ACD_TS_1", "ACD_TS_1U", "ACD_TS_2")}
-    assert shared == {(AC, 1)}
+def test_learning_curve_trains_each_source_step_once(monkeypatch):
+    ontology, source_ontology, source = source_setup()
+    corpora = (source, source, target_corpus(), target_corpus("validation"))
+    systems, sizes = ("JS_T", "JS_TS", "AC_TS", "ACD_TS_1"), (3, None)
+    source_models = []
+    real_train = models.train
+
+    def counting_train(*args, **kwargs):
+        model, log = real_train(*args, **kwargs)
+        if kwargs.get("rng_salt") == models._SALT_SOURCE:
+            source_models.append((model.kind, model.dims_used))
+        return model, log
+
+    monkeypatch.setattr(models, "train", counting_train)
+    cells = list(models.learning_curve(
+        systems, sizes, source_ontology, ontology, *corpora, TINY
+    ))
+    assert source_models == [(JS, 0), (AC, 1)]
+    assert [(system, size) for system, size, _ in cells] == list(
+        itertools.product(systems, sizes)
+    )
+    for system, size, result in cells:
+        alone = run_experiment(
+            system, source_ontology, ontology, *corpora, TINY, subset=size
+        )
+        for phase, log in result.logs.items():
+            assert format_train_log(log) == format_train_log(alone.logs[phase])
+        pairs = [(result.model.stage1, alone.model.stage1)]
+        if result.model.stage2 is not None:
+            pairs.append((result.model.stage2, alone.model.stage2))
+        if result.source_model is not None:
+            pairs.append((result.source_model.stage1, alone.source_model.stage1))
+        for shared, independent in pairs:
+            assert shared.buffer.tobytes() == independent.buffer.tobytes()
+    with pytest.raises(ModelError):
+        list(models.learning_curve(
+            ["AC_TS"], [None], None, ontology, *corpora, TINY
+        ))
 
 
 def test_evaluate_model_preprocesses_with_model_vocab():

@@ -459,9 +459,15 @@ def test_training_config_grid():
         dict(dropout=-0.1),
         dict(epochs=-1),
         dict(init_range=0.0),
+        dict(init_range=float("nan")),
+        dict(init_range=float("inf")),
         dict(hidden=0),
         dict(lr_grid=()),
         dict(lr_grid=(0.1, -0.2)),
+        dict(lr_grid=(0.1, float("nan"))),
+        dict(lr_grid=(float("inf"),)),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("-inf")),
     ):
         with pytest.raises(ValueError):
             TrainingConfig(**bad)
