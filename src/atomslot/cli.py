@@ -231,6 +231,15 @@ def _cmd_train(args) -> int:
     )
 
 
+def _check_source_flags(args, preset: str) -> None:
+    """A ``*_TS`` preset needs every source flag; one missing is a usage
+    error, found before any file is read."""
+    missing = [flag for flag in ("--source-ontology", "--source-train", "--source-valid")
+               if not getattr(args, flag[2:].replace("-", "_"))]
+    if PRESETS[preset][1] and missing:
+        raise UsageError(f"{preset} needs {', '.join(missing)}")
+
+
 def _read_adapt_corpora(args):
     target_train = read_corpus(args.train, role="target")
     target_valid = read_corpus(args.valid, role="validation")
@@ -243,6 +252,7 @@ def _read_adapt_corpora(args):
 
 
 def _cmd_adapt(args) -> int:
+    _check_source_flags(args, args.preset)
     target_ontology = _load_ontology(args.ontology)
     source_ontology = (
         _load_ontology(args.source_ontology) if args.source_ontology else None
@@ -339,8 +349,7 @@ def _cmd_curve(args) -> int:
     for system in systems:
         if system not in PRESETS:
             raise UsageError(f"unknown system {system!r}; choose from {sorted(PRESETS)}")
-        if PRESETS[system][1] and not args.source_ontology:
-            raise UsageError(f"system {system} needs --source-ontology")
+        _check_source_flags(args, system)
     sizes = _parse_sizes(args.sizes)
     target_ontology = _load_ontology(args.ontology)
     source_ontology = (

@@ -727,12 +727,7 @@ def adjust_nn_arch(
         if target_ontology.depth != 2:
             raise ModelError("ACD adjustment is defined for two-level target ontologies")
         heads[1] = _grown(heads[1], sorted(diff.new_atoms[0]))
-    # frozen rows spelled out per table, (0,) rather than (): the shapes.json
-    # of every adjusted model records them so
-    grown = ModelParams(dataclasses.replace(
-        stage1.shape, heads=tuple(heads),
-        frozen_rows=tuple(table.frozen_rows for table in stage1.tables),
-    ))
+    grown = ModelParams(dataclasses.replace(stage1.shape, heads=tuple(heads)))
     for new, old in zip(grown.tables, stage1.tables):
         new.weights[...] = old.weights
     grown.cells_w[...] = stage1.cells_w

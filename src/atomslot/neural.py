@@ -67,37 +67,28 @@ class EmbeddingTable:
 
 
 @dataclass
-class LstmCellParams:
-    w: np.ndarray  # (4H, D+H)
-    b: np.ndarray  # (4H,)
-
-    @property
-    def hidden(self) -> int:
-        return self.b.shape[0] // 4
-
-
-@dataclass
 class SoftmaxHead:
     w: np.ndarray  # (C, 2H)
     b: np.ndarray  # (C,)
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        self.labels = tuple(self.labels)
-        if len(self.labels) != self.w.shape[0]:
-            raise NeuralError(
-                f"head has {self.w.shape[0]} rows but {len(self.labels)} labels"
-            )
-        if len(set(self.labels)) != len(self.labels):
-            raise NeuralError("head labels must be unique")
+
+def _is_count(n) -> bool:
+    """A non-negative int; a bool is not a count."""
+    return type(n) is int and n >= 0
 
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Sizes needed to initialize a model.
+    """Sizes needed to initialize a model, checked once when it is built.
 
     ``tables`` holds (rows, cols) per input channel; ``heads`` holds the
-    label tuple of each softmax head.
+    label tuple of each softmax head; ``frozen_rows`` holds, per table, how
+    many leading rows SGD leaves alone.  A shorter ``frozen_rows`` is padded
+    with zeros, so that equal layouts compare and serialize equal.  Sizes
+    that are not non-negative ints (a positive ``hidden``), more counts
+    than tables, more frozen rows than a table has, and head labels that
+    are not unique strings raise NeuralError.
     """
 
     tables: tuple[tuple[int, int], ...]
@@ -105,8 +96,28 @@ class ShapeSpec:
     heads: tuple[tuple[str, ...], ...]
     frozen_rows: tuple[int, ...] = ()
 
-    def table_frozen(self, k: int) -> int:
-        return self.frozen_rows[k] if k < len(self.frozen_rows) else 0
+    def __post_init__(self):
+        tables = tuple(tuple(table) for table in self.tables)
+        heads = tuple(tuple(labels) for labels in self.heads)
+        frozen = tuple(self.frozen_rows)
+        if len(frozen) > len(tables):
+            raise NeuralError(f"{len(frozen)} frozen-row counts for {len(tables)} tables")
+        frozen += (0,) * (len(tables) - len(frozen))
+        if not (_is_count(self.hidden) and self.hidden > 0):
+            raise NeuralError(f"hidden size {self.hidden!r} is not a positive int")
+        for k, (table, n) in enumerate(zip(tables, frozen)):
+            if len(table) != 2 or not all(map(_is_count, table)):
+                raise NeuralError(f"table {k} is {table!r}, not two non-negative ints")
+            if not (_is_count(n) and n <= table[0]):
+                raise NeuralError(f"table {k} has {table[0]} rows, {n!r} frozen")
+        for j, labels in enumerate(heads):
+            if not all(isinstance(label, str) for label in labels):
+                raise NeuralError(f"head {j} has a label that is not a string")
+            if len(set(labels)) != len(labels):
+                raise NeuralError(f"head {j} labels must be unique")
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "frozen_rows", frozen)
 
     def to_json(self) -> dict:
         """The shape as JSON-ready lists; ``from_json`` reads it back."""
@@ -119,22 +130,12 @@ class ShapeSpec:
 
     @classmethod
     def from_json(cls, obj) -> "ShapeSpec":
-        """The shape ``to_json`` wrote; anything else raises NeuralError."""
+        """The shape ``to_json`` wrote, or wrote with fewer ``frozen_rows``
+        counts than tables; anything else raises NeuralError."""
         try:
-            shape = cls(
-                tuple(tuple(table) for table in obj["tables"]),
-                obj["hidden"],
-                tuple(tuple(labels) for labels in obj["heads"]),
-                tuple(obj["frozen_rows"]),
-            )
-            counts = [shape.hidden, *shape.frozen_rows, *(n for t in shape.tables for n in t)]
-            valid = (
-                shape.to_json() == obj
-                and all(len(table) == 2 for table in shape.tables)
-                and all(type(n) is int and n >= 0 for n in counts)
-                and shape.hidden > 0
-                and all(isinstance(label, str) for head in shape.heads for label in head)
-            )
+            shape = cls(obj["tables"], obj["hidden"], obj["heads"], obj["frozen_rows"])
+            frozen = obj["frozen_rows"] + [0] * (len(shape.tables) - len(obj["frozen_rows"]))
+            valid = shape.to_json() == {**obj, "frozen_rows": frozen}
         except (KeyError, TypeError):
             valid = False
         if not valid:
@@ -143,8 +144,8 @@ class ShapeSpec:
 
 
 class _Layout(NamedTuple):
-    """Where a shape's blocks lie in its flat buffer, derived and checked
-    once and shared by every ``ModelParams`` of the shape."""
+    """Where a shape's blocks lie in its flat buffer, derived once and
+    shared by every ``ModelParams`` of the shape."""
 
     size: int
     tables: tuple[tuple[slice, tuple[int, int], int], ...]  # span, dims, frozen rows
@@ -159,10 +160,7 @@ def _layout(shape: ShapeSpec) -> _Layout:
     C = sum(len(labels) for labels in shape.heads)
     pos = 0
     tables, frozen_spans = [], []
-    for k, (rows, cols) in enumerate(shape.tables):
-        frozen = shape.table_frozen(k)
-        if not 0 <= frozen <= rows:
-            raise NeuralError(f"table {k} has {rows} rows, {frozen} frozen")
+    for (rows, cols), frozen in zip(shape.tables, shape.frozen_rows):
         tables.append((slice(pos, pos + rows * cols), (rows, cols), frozen))
         frozen_spans += [pos, pos + frozen * cols]
         pos += rows * cols
@@ -172,8 +170,6 @@ def _layout(shape: ShapeSpec) -> _Layout:
         pos += math.prod(dims)
     head_rows, row = [], 0
     for labels in shape.heads:
-        if len(set(labels)) != len(labels):
-            raise NeuralError("head labels must be unique")
         head_rows.append(slice(row, row + len(labels)))
         row += len(labels)
     # SGD updates everything but each table's frozen prefix
@@ -190,13 +186,13 @@ class ModelParams:
     weights side by side as ``cells_w`` (2, 4H, D+H), forward first; their
     biases ``cells_b`` (2, 4H); every head's weights stacked as ``heads_w``
     (C, 2H), C summed over the heads; their biases ``heads_b`` (C,).
-    ``tables``, ``fwd``, ``bwd`` and ``heads`` are views of it, so a write
-    through them, or through ``blocks()``, is a write to the buffer.
-    Gradients use the same layout (``zeros_like``).  A model that needs
-    other shapes is a new ``ModelParams`` filled through its views (as
-    ``models.adjust_nn_arch`` grows heads).  Copies share the
-    checked layout, and ``fwd``, ``bwd`` and ``heads`` are built on first
-    use.  A pickle holds the shape and the buffer once.
+    ``tables``, ``cells_w``, ``cells_b`` and ``heads`` are views of it, so
+    a write through them, or through ``blocks()``, is a write to the
+    buffer.  Gradients use the same layout (``zeros_like``).  A model that
+    needs other shapes is a new ``ModelParams`` filled through its views
+    (as ``models.adjust_nn_arch`` grows heads).  Copies share the layout,
+    and ``heads`` is built on first use.  A pickle holds the shape and the
+    buffer once.
     """
 
     def __init__(self, shape: ShapeSpec, buffer: np.ndarray | None = None):
@@ -233,14 +229,6 @@ class ModelParams:
         return ModelParams, (self.shape, self.buffer)
 
     @functools.cached_property
-    def fwd(self) -> LstmCellParams:
-        return LstmCellParams(self.cells_w[0], self.cells_b[0])
-
-    @functools.cached_property
-    def bwd(self) -> LstmCellParams:
-        return LstmCellParams(self.cells_w[1], self.cells_b[1])
-
-    @functools.cached_property
     def heads(self) -> tuple[SoftmaxHead, ...]:
         return tuple(
             SoftmaxHead(self.heads_w[rows], self.heads_b[rows], labels)
@@ -265,10 +253,9 @@ class ModelParams:
         before theirs.  Each is a contiguous view of the buffer."""
         for k, table in enumerate(self.tables):
             yield f"table{k}", table.weights
-        yield "fwd.w", self.fwd.w
-        yield "fwd.b", self.fwd.b
-        yield "bwd.w", self.bwd.w
-        yield "bwd.b", self.bwd.b
+        for d, direction in enumerate(("fwd", "bwd")):
+            yield f"{direction}.w", self.cells_w[d]
+            yield f"{direction}.b", self.cells_b[d]
         for j, head in enumerate(self.heads):
             yield f"head{j}.w", head.w
             yield f"head{j}.b", head.b

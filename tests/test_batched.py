@@ -34,9 +34,9 @@ HIDDEN = 8
 SAME_LENGTH = 6
 
 
-def reference_direction(cell, xs):
+def reference_direction(w, b, xs):
     n, D = xs.shape
-    H = cell.hidden
+    H = b.shape[0] // 4
     xh = np.zeros(D + H)
     h = np.zeros(H)
     c = np.zeros(H)
@@ -44,7 +44,7 @@ def reference_direction(cell, xs):
     for t in range(n):
         xh[:D] = xs[t]
         xh[D:] = h
-        z = cell.w @ xh + cell.b
+        z = w @ xh + b
         i = expit(z[:H])
         f = expit(z[H:2 * H])
         o = expit(z[2 * H:3 * H])
@@ -60,8 +60,8 @@ def reference_features(params, ids):
     if len(seqs[0]) == 0:
         return np.zeros((0, 2 * params.hidden))
     xs = np.concatenate([t.weights[s] for t, s in zip(params.tables, seqs)], axis=1)
-    fwd = reference_direction(params.fwd, xs)
-    bwd = reference_direction(params.bwd, xs[::-1])[::-1]
+    fwd = reference_direction(params.cells_w[0], params.cells_b[0], xs)
+    bwd = reference_direction(params.cells_w[1], params.cells_b[1], xs[::-1])[::-1]
     return np.concatenate([fwd, bwd], axis=1)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from atomslot import models
+from atomslot import cli, models
 from atomslot.cli import run_command
 from atomslot.corpus import Corpus, TaggedUtterance, read_corpus, write_corpus
 from atomslot.models import load_model
@@ -324,14 +324,30 @@ def test_adapt_acd_preset_bundles_stage2(workspace, tmp_path):
     assert model.stage2_vocab is not None
 
 
-def test_adapt_missing_source_flags_is_a_data_error(workspace, tmp_path):
-    code = run_command([
-        "adapt", "--preset", "AC_TS",
-        "--ontology", str(workspace["ontology"]),
-        "--train", str(workspace["train"]), "--valid", str(workspace["valid"]),
-        "--out", str(tmp_path / "x"), *FAST,
-    ])
-    assert code == 2
+def without(args, flag):
+    """``args`` without ``flag`` and the value after it."""
+    at = args.index(flag)
+    return args[:at] + args[at + 2:]
+
+
+def record_reads_and_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "read_corpus", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(models, "run_experiment", lambda *a, **k: calls.append(a))
+    return calls
+
+
+SOURCE_FLAGS = ("--source-ontology", "--source-train", "--source-valid")
+
+
+def test_adapt_missing_source_flags_is_a_usage_error(workspace, tmp_path, monkeypatch, capsys):
+    calls = record_reads_and_runs(monkeypatch)
+    for flag in SOURCE_FLAGS:
+        args = without(adapt_args(workspace, tmp_path / "x", preset="JS_TS"), flag)
+        assert run_command(args) == 1, flag
+        assert f"JS_TS needs {flag}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("kind", ["JS", "AC"])
@@ -386,15 +402,20 @@ def test_curve_rejects_unknown_system(workspace, tmp_path):
     ]) == 1
 
 
-def test_curve_checks_every_system_before_training(workspace, tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(models, "run_experiment", lambda *a, **k: calls.append(a))
-    assert run_command([
+def test_curve_checks_every_system_before_training(workspace, tmp_path, monkeypatch, capsys):
+    calls = record_reads_and_runs(monkeypatch)
+    args = [
         "curve", "--systems", "JS_T,AC_TS", "--sizes", "8",
         "--ontology", str(workspace["ontology"]),
+        "--source-ontology", str(workspace["source_ontology"]),
         "--train", str(workspace["train"]), "--valid", str(workspace["valid"]),
+        "--source-train", str(workspace["source_train"]),
+        "--source-valid", str(workspace["source_valid"]),
         "--test", str(workspace["test"]), "--out", str(tmp_path / "c"), *FAST,
-    ]) == 1
+    ]
+    for flag in SOURCE_FLAGS:
+        assert run_command(without(args, flag)) == 1, flag
+        assert f"AC_TS needs {flag}" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "c").exists()
 

@@ -978,6 +978,36 @@ def test_a_damaged_bundle_loads_equal_or_raises_a_typed_error(intact_bundles, da
     assert_same_model(again, model)
 
 
+# what save_model wrote as frozen_rows before it held one count per table:
+# nothing for a model trained from scratch, and only the word table's count
+# for ACD2's two stage-2 tables (stage, counts kept)
+OLDER_FROZEN_ROWS = {"JS_T": ("stage1", 0), "AC_T": ("stage1", 0), "ACD_TS_2": ("stage2", 1)}
+
+
+@pytest.mark.parametrize("preset", sorted(OLDER_FROZEN_ROWS))
+def test_a_bundle_with_the_older_frozen_rows_loads(tmp_path, preset):
+    import hashlib
+    import json
+
+    ontology, source_ontology, src, src_valid, tgt, valid = adapt_corpora()
+    model = adapt(preset, source_ontology, ontology, src, src_valid, tgt, valid, TINY).model
+    save_model(model, tmp_path / "new", TINY)
+    bundle = Path(shutil.copytree(tmp_path / "new", tmp_path / "old"))
+    shapes_path = bundle / "shapes.json"
+    shapes = json.loads(shapes_path.read_text())
+    stage, kept = OLDER_FROZEN_ROWS[preset]
+    shapes[stage]["frozen_rows"] = shapes[stage]["frozen_rows"][:kept]
+    shapes_path.write_text(json.dumps(shapes, sort_keys=True, indent=2) + "\n")
+    digest = hashlib.sha256(shapes_path.read_bytes()).hexdigest()
+    _edit_manifest(bundle, lambda m: {**m, "sha256": {**m["sha256"], "shapes": digest}})
+    assert shapes_path.read_bytes() != (tmp_path / "new" / "shapes.json").read_bytes()
+    again = load_model(bundle)
+    assert_same_model(again, model)
+    save_model(again, tmp_path / "resaved", TINY)
+    for path in (tmp_path / "new").iterdir():
+        assert (tmp_path / "resaved" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_adjusted_parameters_live_in_one_buffer(tmp_path):
     acd, _ = _untrained_acd1_bundle(tmp_path)
     ontology, source_ontology, source = source_setup()

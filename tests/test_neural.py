@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from atomslot.neural import (
     DropoutMasks,
     EmbeddingTable,
-    LstmCellParams,
     ModelParams,
     NeuralError,
     NonFiniteGradient,
     ShapeSpec,
-    SoftmaxHead,
     TrainingConfig,
     blstm_forward,
     gradient_check,
@@ -58,8 +56,8 @@ def test_init_params_shapes_and_bounds():
     assert params.tables[0].weights.shape == (11, 5)
     assert params.tables[0].frozen_rows == 3
     assert params.tables[1].frozen_rows == 0
-    assert params.fwd.w.shape == (24, 7 + 6)
-    assert params.fwd.b.shape == (24,)
+    assert params.cells_w[0].shape == (24, 7 + 6)
+    assert params.cells_b[0].shape == (24,)
     assert params.heads[1].w.shape == (3, 12)
     assert params.input_dim == 7
     for _, arr in params.blocks():
@@ -85,13 +83,13 @@ def test_init_params_draw_order_tables_first():
 # ---------------------------------------------------------------------------
 # forward pass against a naive per-gate oracle
 
-def naive_lstm(cell, xs):
-    H = cell.hidden
+def naive_lstm(w, b, xs):
+    H = b.shape[0] // 4
     h = np.zeros(H)
     c = np.zeros(H)
     out = []
     for x in xs:
-        z = cell.w @ np.concatenate([x, h]) + cell.b
+        z = w @ np.concatenate([x, h]) + b
         i = 1.0 / (1.0 + np.exp(-z[:H]))
         f = 1.0 / (1.0 + np.exp(-z[H:2 * H]))
         o = 1.0 / (1.0 + np.exp(-z[2 * H:3 * H]))
@@ -106,8 +104,8 @@ def test_blstm_matches_naive_oracle():
     params = small_params(seed=3)
     ids = np.array([1, 4, 2, 7, 0])
     xs = params.tables[0].weights[ids]
-    fwd = naive_lstm(params.fwd, xs)
-    bwd = naive_lstm(params.bwd, xs[::-1])[::-1]
+    fwd = naive_lstm(params.cells_w[0], params.cells_b[0], xs)
+    bwd = naive_lstm(params.cells_w[1], params.cells_b[1], xs[::-1])[::-1]
     features = blstm_forward(params, ids)
     assert features.shape == (5, 6)
     np.testing.assert_allclose(features[:, :3], fwd, rtol=0, atol=1e-12)
@@ -127,7 +125,7 @@ def test_multichannel_input_concatenates_embeddings():
     xs = np.concatenate(
         [params.tables[0].weights[ids[0]], params.tables[1].weights[ids[1]]], axis=1
     )
-    fwd = naive_lstm(params.fwd, xs)
+    fwd = naive_lstm(params.cells_w[0], params.cells_b[0], xs)
     features = blstm_forward(params, ids)
     np.testing.assert_allclose(features[:, :2], fwd, atol=1e-12)
 
@@ -254,17 +252,17 @@ def test_frozen_rows_get_gradients_but_no_updates():
     assert np.abs(grads.tables[0].weights).sum() > 0.0
     sgd_step(params, grads, 0.5)
     assert np.array_equal(params.tables[0].weights, before)
-    assert not np.array_equal(params.fwd.w, init_params(shape, 2).fwd.w)
+    assert not np.array_equal(params.cells_w[0], init_params(shape, 2).cells_w[0])
 
 
 def test_sgd_step_closed_form():
     params = small_params(seed=4)
     grads = params.zeros_like()
-    grads.fwd.b[:] = 2.0
-    expected = params.fwd.b - 0.1 * 2.0
+    grads.cells_b[0] = 2.0
+    expected = params.cells_b[0] - 0.1 * 2.0
     out = sgd_step(params, grads, 0.1)
     assert out is params
-    np.testing.assert_allclose(params.fwd.b, expected, atol=1e-15)
+    np.testing.assert_allclose(params.cells_b[0], expected, atol=1e-15)
 
 
 def test_zeros_like_is_a_fresh_buffer_in_the_same_layout():
@@ -285,7 +283,7 @@ def test_zeros_like_is_a_fresh_buffer_in_the_same_layout():
 def test_sgd_rejects_non_finite_gradients():
     params = small_params()
     grads = params.zeros_like()
-    grads.bwd.w[0, 0] = np.nan
+    grads.cells_w[1, 0, 0] = np.nan
     with pytest.raises(NonFiniteGradient):
         sgd_step(params, grads, 0.1)
 
@@ -440,6 +438,10 @@ def test_load_rejects_files_that_are_not_the_buffer(tmp_path, data):
         lambda obj: {**obj, "frozen_rows": 0},
         lambda obj: {k: v for k, v in obj.items() if k != "heads"},
         lambda obj: {**obj, "extra": 1},
+        lambda obj: {**obj, "frozen_rows": [0, 0]},
+        lambda obj: {**obj, "frozen_rows": [10]},
+        lambda obj: {**obj, "frozen_rows": [True]},
+        lambda obj: {**obj, "heads": [["O", "B", "O"]]},
     ],
 )
 def test_shape_from_json_rejects_malformed_shapes(edit):
@@ -474,7 +476,30 @@ def test_training_config_grid():
 
 
 def test_head_label_validation():
+    ShapeSpec(((5, 3),), 2, (("a", "b"), ("a", "c")))
     with pytest.raises(NeuralError):
-        SoftmaxHead(np.zeros((2, 4)), np.zeros(2), ("a",))
+        ShapeSpec(((5, 3),), 2, (("a", "b"), ("a", "a")))
     with pytest.raises(NeuralError):
-        SoftmaxHead(np.zeros((2, 4)), np.zeros(2), ("a", "a"))
+        ShapeSpec(((5, 3),), 2, (("a", 1),))
+
+
+@pytest.mark.parametrize(
+    "frozen_rows", [(1, 9, 4), (0, 0), (6,), (-1,), (True,), (1.0,)],
+    ids=["more-counts-than-tables", "two-counts-one-table", "beyond-the-rows",
+         "negative", "bool", "float"],
+)
+def test_shape_rejects_frozen_rows_that_fit_no_table(frozen_rows):
+    assert ShapeSpec(((5, 3),), 2, (("a", "b"),), (5,)).frozen_rows == (5,)
+    with pytest.raises(NeuralError):
+        ShapeSpec(((5, 3),), 2, (("a", "b"),), frozen_rows)
+
+
+def test_no_frozen_rows_has_one_spelling():
+    shapes = [ShapeSpec(((5, 3), (4, 2)), 2, (("a", "b"),), frozen) for frozen in ((), (0,), (0, 0))]
+    assert shapes[0] == shapes[1] == shapes[2]
+    assert shapes[0].frozen_rows == (0, 0)
+    assert len({json.dumps(shape.to_json()) for shape in shapes}) == 1
+    # the shorter lists that older bundles hold read back as the padded form
+    for frozen, short in (((0, 0), []), ((5, 0), [5])):
+        shape = ShapeSpec(((5, 3), (4, 2)), 2, (("a", "b"),), frozen)
+        assert ShapeSpec.from_json({**shape.to_json(), "frozen_rows": short}) == shape

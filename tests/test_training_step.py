@@ -89,8 +89,8 @@ def reference_gradients(params, batch, masks=None):
             continue
         if m is not None:
             xs = xs * m.input
-        fwd = reference_direction(params.fwd.w, params.fwd.b, xs)
-        bwd = reference_direction(params.bwd.w, params.bwd.b, xs[::-1])
+        fwd = reference_direction(params.cells_w[0], params.cells_b[0], xs)
+        bwd = reference_direction(params.cells_w[1], params.cells_b[1], xs[::-1])
         feats = np.concatenate([fwd[3][1:], bwd[3][:0:-1]], axis=1)
         head_in = feats * m.features if m is not None else feats
         dfeats = np.zeros((n, 2 * H))
@@ -106,8 +106,8 @@ def reference_gradients(params, batch, masks=None):
             dfeats += dlogits @ head.w
         if m is not None:
             dfeats = dfeats * m.features
-        dw_f, db_f, dx_f = reference_backward(params.fwd.w, xs, fwd, dfeats[:, :H])
-        dw_b, db_b, dx_b = reference_backward(params.bwd.w, xs[::-1], bwd, dfeats[::-1, H:])
+        dw_f, db_f, dx_f = reference_backward(params.cells_w[0], xs, fwd, dfeats[:, :H])
+        dw_b, db_b, dx_b = reference_backward(params.cells_w[1], xs[::-1], bwd, dfeats[::-1, H:])
         grads["fwd.w"] += dw_f
         grads["fwd.b"] += db_f
         grads["bwd.w"] += dw_b
@@ -425,7 +425,7 @@ def test_blocks_are_contiguous_views_of_one_buffer():
             total += block.size
         assert total == holder.buffer.size
     # the two cells and the heads sit side by side
-    assert np.shares_memory(params.cells_w[1], params.bwd.w)
+    assert np.shares_memory(params.cells_w[1], dict(params.blocks())["bwd.w"])
     assert np.shares_memory(params.heads_w, params.heads[0].w)
 
 
@@ -433,7 +433,7 @@ def test_copy_is_independent_of_the_original():
     params = init_params(ONE_TABLE, 2)
     twin = params.copy()
     assert not np.shares_memory(twin.buffer, params.buffer)
-    twin.fwd.w[0, 0] += 1.0
+    twin.cells_w[0, 0, 0] += 1.0
     twin.tables[0].weights[:] = 0.0
     assert np.array_equal(params.buffer, init_params(ONE_TABLE, 2).buffer)
     assert twin.shape == params.shape

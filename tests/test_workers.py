@@ -95,10 +95,11 @@ def test_a_diverging_rate_in_a_worker_is_logged_and_all_diverging_raise(two_cpus
 
 
 def test_an_exception_in_a_worker_reaches_the_caller_with_its_type():
-    bad = ShapeSpec(tables=((3, 2),), hidden=1, heads=(("a", "a"),))
-    with pytest.raises(NeuralError, match="unique") as caught:
-        list(workers.run(2, init_params, (), [(bad, 0), (bad, 1)]))
-    assert "init_params" in str(caught.value.__cause__)
+    shape = ShapeSpec(tables=((3, 2),), hidden=1, heads=(("a", "b"),))
+    bad = [("a.npy", shape, b"not a parameter array"), ("b.npy", shape, b"")]
+    with pytest.raises(NeuralError, match="not a parameter array") as caught:
+        list(workers.run(2, neural.load_params, (), bad))
+    assert "load_params" in str(caught.value.__cause__)
     # the pool outlives a task's exception
     assert sorted(i for i, _ in workers.run(2, abs, (), [(-1,), (2,), (-3,)])) == [0, 1, 2]
 
@@ -214,7 +215,7 @@ def test_no_worker_outlives_a_python_c_grid_run():
 def test_a_pickled_model_holds_its_buffer_once():
     shape = ShapeSpec(tables=((50, 8), (6, 3)), hidden=8, heads=(("O", "B", "I"), ("x", "y")))
     params = init_params(shape, 0)
-    params.heads, params.fwd  # views built before pickling are not pickled
+    params.heads  # views built before pickling are not pickled
     data = pickle.dumps(params, pickle.HIGHEST_PROTOCOL)
     assert params.buffer.nbytes < len(data) < params.buffer.nbytes + 1024
     again = pickle.loads(data)
