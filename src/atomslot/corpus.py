@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +25,13 @@ ROLES = ("source", "target", "validation", "test")
 
 _TAG_RE = re.compile(r"^(?:O|[BI]-\S+)$")
 _ALL_DIGITS_RE = re.compile(r"^[0-9]+$")
+
+# Distinct tags that already matched _TAG_RE, so each is matched once and
+# not once per token.  Membership only skips the match and changes no
+# result, so one set serves the whole process; it is emptied when full,
+# and a malformed tag never enters it.
+_ACCEPTED_TAGS_LIMIT = 4096
+_accepted_tags: set[str] = set()
 
 
 class CorpusError(Exception):
@@ -47,12 +54,26 @@ class ConfigError(CorpusError):
     """A grammar configuration is unusable."""
 
 
-def parse_tag(tag: str) -> tuple[str, str]:
-    """Split ``B-x`` into ("B", "x"); ``O`` becomes ("O", "")."""
-    if tag == "O":
-        return "O", ""
+def _check_tag(tag: str) -> None:
+    """ValueError unless ``tag`` is ``O``, ``B-x`` or ``I-x``."""
+    if tag in _accepted_tags:
+        return
     if not _TAG_RE.match(tag):
         raise ValueError(f"malformed tag {tag!r}")
+    if len(_accepted_tags) >= _ACCEPTED_TAGS_LIMIT:
+        _accepted_tags.clear()
+    _accepted_tags.add(tag)
+
+
+def _check_tags(tags: Sequence[str]) -> None:
+    if not _accepted_tags.issuperset(tags):
+        for tag in tags:
+            _check_tag(tag)
+
+
+def parse_tag(tag: str) -> tuple[str, str]:
+    """Split ``B-x`` into ("B", "x"); ``O`` becomes ("O", "")."""
+    _check_tag(tag)
     return tag[0], tag[2:]
 
 
@@ -78,8 +99,7 @@ class TaggedUtterance:
             raise ValueError(
                 f"{len(self.tokens)} tokens but {len(self.tags)} tags"
             )
-        for tag in self.tags:
-            parse_tag(tag)
+        _check_tags(self.tags)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -120,20 +140,34 @@ def iob_to_spans(tokens: Sequence[str], tags: Sequence[str]) -> tuple[SlotSpan, 
     """
     if len(tokens) != len(tags):
         raise ValueError(f"{len(tokens)} tokens but {len(tags)} tags")
-    spans: list[SlotSpan] = []
+    _check_tags(tags)
+    return tuple(
+        SlotSpan(slot, start, end, tuple(tokens[start:end]))
+        for slot, start, end in _chunks(tags)
+    )
+
+
+def _chunks(tags: Sequence[str]) -> list[tuple[str, int, int]]:
+    """``(slot, start, end)`` of each chunk of checked tags, in order;
+    the chunks are disjoint and non-empty."""
+    chunks = []
     start = None
     current = ""
     for i, tag in enumerate(tags):
-        prefix, slot = parse_tag(tag)
-        if start is not None and (prefix in ("O", "B") or slot != current):
-            spans.append(SlotSpan(current, start, i, tuple(tokens[start:i])))
+        if start is not None and (tag[0] != "I" or tag[2:] != current):
+            chunks.append((current, start, i))
             start = None
-        if prefix != "O" and start is None:
+        if start is None and tag != "O":
             start = i
-            current = slot
+            current = tag[2:]
     if start is not None:
-        spans.append(SlotSpan(current, start, len(tags), tuple(tokens[start:])))
-    return tuple(spans)
+        chunks.append((current, start, len(tags)))
+    return chunks
+
+
+def _span_tags(slot: str, length: int) -> list[str]:
+    """The tags of one chunk of ``length`` tokens: ``B-slot``, then ``I-slot``."""
+    return [f"B-{slot}"] + [f"I-{slot}"] * (length - 1)
 
 
 def spans_to_iob(tokens: Sequence[str], spans: Iterable[SlotSpan]) -> tuple[str, ...]:
@@ -150,10 +184,9 @@ def spans_to_iob(tokens: Sequence[str], spans: Iterable[SlotSpan]) -> tuple[str,
             raise OverlapError(
                 f"span [{span.start}, {span.end}) for {span.slot!r} overlaps another span"
             )
-        for i in range(span.start, span.end):
-            taken[i] = True
-            tags[i] = f"I-{span.slot}"
-        tags[span.start] = f"B-{span.slot}"
+        length = span.end - span.start
+        taken[span.start:span.end] = [True] * length
+        tags[span.start:span.end] = _span_tags(span.slot, length)
     return tuple(tags)
 
 
@@ -161,6 +194,15 @@ def spans_to_iob(tokens: Sequence[str], spans: Iterable[SlotSpan]) -> tuple[str,
 # file format
 
 def read_corpus(path, role: str = "target") -> Corpus:
+    """The corpus in the file at ``path``; ParseError if it is malformed
+    or not UTF-8 text."""
+    try:
+        return _read_corpus(path, role)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_corpus(path, role: str) -> Corpus:
     utterances: list[TaggedUtterance] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -190,8 +232,10 @@ def read_corpus(path, role: str = "target") -> Corpus:
             token, tag = parts
             if not token:
                 raise ParseError("empty token", lineno)
-            if not _TAG_RE.match(tag):
-                raise ParseError(f"malformed tag {tag!r}", lineno)
+            try:
+                _check_tag(tag)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
             tokens.append(token)
             tags.append(tag)
     if tokens:
@@ -342,12 +386,12 @@ def relabel_collapse(corpus: Corpus, mapping: Mapping[str, str]) -> Corpus:
     """Rename every span's slot through ``mapping``; boundaries unchanged."""
     out = []
     for u in corpus:
-        spans = []
-        for span in u.spans:
-            if span.slot not in mapping:
-                raise UnknownSlot(f"slot {span.slot!r} missing from collapse mapping")
-            spans.append(replace(span, slot=mapping[span.slot]))
-        out.append(TaggedUtterance(u.tokens, spans_to_iob(u.tokens, spans)))
+        tags = ["O"] * len(u)
+        for slot, start, end in _chunks(u.tags):
+            if slot not in mapping:
+                raise UnknownSlot(f"slot {slot!r} missing from collapse mapping")
+            tags[start:end] = _span_tags(mapping[slot], end - start)
+        out.append(TaggedUtterance(u.tokens, tuple(tags)))
     return Corpus(tuple(out), corpus.role)
 
 
@@ -363,8 +407,8 @@ def perturb_test_set(
     """
     values: dict[str, set[tuple[str, ...]]] = {}
     for u in train:
-        for span in u.spans:
-            values.setdefault(span.slot, set()).add(span.value)
+        for slot, start, end in _chunks(u.tags):
+            values.setdefault(slot, set()).add(u.tokens[start:end])
     by_concept: dict[str, set[str]] = {}
     for slot in values:
         branch = ontology.branches.get(slot)
@@ -391,22 +435,23 @@ def perturb_test_set(
     out = []
     for u in test:
         tokens: list[str] = []
-        spans: list[SlotSpan] = []
+        tags: list[str] = []
         cursor = 0
-        for span in u.spans:
-            tokens.extend(u.tokens[cursor:span.start])
-            candidates = pool_for(span.slot)
+        for slot, start, end in _chunks(u.tags):
+            tokens.extend(u.tokens[cursor:start])
+            tags.extend(["O"] * (start - cursor))
+            candidates = pool_for(slot)
             value = (
                 candidates[int(rng.integers(len(candidates)))]
                 if candidates
-                else span.value
+                else u.tokens[start:end]
             )
-            start = len(tokens)
             tokens.extend(value)
-            spans.append(SlotSpan(span.slot, start, len(tokens), tuple(value)))
-            cursor = span.end
+            tags.extend(_span_tags(slot, len(value)))
+            cursor = end
         tokens.extend(u.tokens[cursor:])
-        out.append(TaggedUtterance(tuple(tokens), spans_to_iob(tokens, spans)))
+        tags.extend(["O"] * (len(u) - cursor))
+        out.append(TaggedUtterance(tuple(tokens), tuple(tags)))
     return Corpus(tuple(out), "test")
 
 
@@ -419,10 +464,6 @@ class Template:
 
     text: str
     bindings: tuple[tuple[str, str], ...]
-
-    @property
-    def binding_map(self) -> dict[str, str]:
-        return dict(self.bindings)
 
 
 @dataclass(frozen=True)
@@ -486,25 +527,61 @@ def parse_grammar(text: str) -> GrammarConfig:
 
 
 def read_grammar(path) -> GrammarConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_grammar(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_grammar(text)
 
 
-def _check_grammar(grammar: GrammarConfig, ontology: Ontology) -> None:
+def _compile_grammar(grammar: GrammarConfig, ontology: Ontology) -> list[list[tuple]]:
+    """Every template as its segments ``(words, O tags, lexicon, tag runs)``:
+    the literal words, then the placeholder after them, which draws from
+    ``lexicon`` and tags a value of k tokens ``tag runs[k]``.  The last
+    segment has no placeholder (an empty lexicon).  ConfigError for
+    anything a draw could not fill."""
+    longest = {}
+    for concept, values in grammar.lexicons.items():
+        if not values or not all(values):
+            raise ConfigError(f"lexicon for {concept!r} is empty or has an empty value")
+        longest[concept] = max(map(len, values))
+    draws: dict[str, tuple] = {}  # slot -> (lexicon, tag runs)
+    compiled = []
     for template in grammar.templates:
+        bound = {}
         for placeholder, slot in template.bindings:
-            branch = ontology.branches.get(slot)
-            if branch is None:
-                raise ConfigError(
-                    f"placeholder {placeholder} bound to unknown slot {slot!r}"
-                )
-            concept = branch[0]
-            if concept == NULL_ATOM:
-                raise ConfigError(
-                    f"slot {slot!r} has a null bottom concept; it cannot carry values"
-                )
-            if concept not in grammar.lexicons:
-                raise ConfigError(f"no lexicon for bottom concept {concept!r}")
+            if slot not in draws:
+                branch = ontology.branches.get(slot)
+                if branch is None:
+                    raise ConfigError(
+                        f"placeholder {placeholder} bound to unknown slot {slot!r}"
+                    )
+                concept = branch[0]
+                if concept == NULL_ATOM:
+                    raise ConfigError(
+                        f"slot {slot!r} has a null bottom concept; it cannot carry values"
+                    )
+                if concept not in grammar.lexicons:
+                    raise ConfigError(f"no lexicon for bottom concept {concept!r}")
+                runs = [()] + [
+                    tuple(_span_tags(slot, k)) for k in range(1, longest[concept] + 1)
+                ]
+                draws[slot] = (grammar.lexicons[concept], runs)
+            bound[placeholder] = draws[slot]
+        segments = []
+        words: list[str] = []
+        for word in template.text.split():
+            if not word.startswith("$"):
+                words.append(word)
+            elif word in bound:
+                segments.append((tuple(words), ("O",) * len(words), *bound[word]))
+                words = []
+            else:
+                raise ConfigError(f"unbound placeholder {word} in {template.text!r}")
+        segments.append((tuple(words), ("O",) * len(words), (), ()))
+        compiled.append(segments)
+    return compiled
 
 
 def generate_synthetic(
@@ -518,25 +595,22 @@ def generate_synthetic(
     values per placeholder.  Deterministic for a fixed seed."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    _check_grammar(grammar, ontology)
+    templates = _compile_grammar(grammar, ontology)
     rng = np.random.default_rng(seed)
     utterances = []
     for _ in range(n):
-        template = grammar.templates[int(rng.integers(len(grammar.templates)))]
-        bindings = template.binding_map
         tokens: list[str] = []
-        spans: list[SlotSpan] = []
-        for word in template.text.split():
-            if not word.startswith("$"):
-                tokens.append(word)
-                continue
-            slot = bindings[word]
-            lexicon = grammar.lexicons[ontology.branches[slot][0]]
-            value = lexicon[int(rng.integers(len(lexicon)))]
-            start = len(tokens)
-            tokens.extend(value)
-            spans.append(SlotSpan(slot, start, len(tokens), value))
-        utterances.append(TaggedUtterance(tuple(tokens), spans_to_iob(tokens, spans)))
+        tags: list[str] = []
+        for words, outside, lexicon, tag_runs in templates[
+            int(rng.integers(len(templates)))
+        ]:
+            tokens.extend(words)
+            tags.extend(outside)
+            if lexicon:
+                value = lexicon[int(rng.integers(len(lexicon)))]
+                tokens.extend(value)
+                tags.extend(tag_runs[len(value)])
+        utterances.append(TaggedUtterance(tuple(tokens), tuple(tags)))
     return Corpus(tuple(utterances), role)
 
 

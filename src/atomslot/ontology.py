@@ -272,8 +272,12 @@ def parse_ontology(text: str) -> Ontology:
 
 
 def read_ontology(path) -> Ontology:
-    with open(path, encoding="utf-8") as fh:
-        return parse_ontology(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise OntologyFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_ontology(text)
 
 
 def ontology_hash(ontology: Ontology) -> str:

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 from pathlib import Path
 
@@ -127,6 +128,31 @@ def test_perturb_smoke(workspace, tmp_path):
     assert len(perturbed) == len(original)
     for a, b in zip(perturbed, original):
         assert [s.slot for s in a.spans] == [s.slot for s in b.spans]
+
+
+# SHA-256 of the corpora that synth, collapse and perturb write for the
+# workspace above.  The acceptance fixture builds its inputs through the same
+# code, so a change to these bytes changes what the acceptance gate measures.
+CORPUS_DIGESTS = {
+    "train/corpus.txt": "f76b7ee603ba446c85ddf915c802219b5aadd10000e1b487da1a9f3645cbab66",
+    "test/corpus.txt": "3b95dcf96da67119d7f9ecd2487153c3affe6a027302514e75ad838f7f804c70",
+    "source/train.txt": "70c469ea3ad8c177f03cba193547e6b4ceda950cbc551d1ffec28809ed616dfa",
+    "source/valid.txt": "24ed974b142fd1b1745057b48518e8019c1240dedb85efb61c77774aa005c911",
+    "perturbed/test.txt": "096437eff51754479ce6398ebe04fcb023f07d23da71e86fc358dcf0a5ba4d40",
+}
+
+
+def test_corpus_bytes_match_the_recorded_digests(workspace, tmp_path):
+    root = workspace["root"]
+    assert run_command([
+        "perturb", "--ontology", str(workspace["ontology"]),
+        "--train", str(workspace["train"]), "--test", str(workspace["test"]),
+        "--seed", "5", "--out", str(tmp_path / "perturbed"),
+    ]) == 0
+    for name, digest in CORPUS_DIGESTS.items():
+        base = tmp_path if name.startswith("perturbed/") else root
+        data = (base / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +475,34 @@ def test_malformed_corpus_exits_2(tmp_path):
         "--train", str(bad), "--test", str(bad),
         "--out", str(tmp_path / "o"),
     ]) == 2
+
+
+@pytest.mark.parametrize("reader", [
+    "synth --grammar", "perturb --ontology", "eval --test", "eval --pred", "decode --test",
+])
+def test_a_file_that_is_not_utf8_is_a_data_error(workspace, trained, tmp_path, capsys, reader):
+    bad = tmp_path / "latin1.txt"
+    text = {
+        "synth --grammar": "leave on $D\t$D=day\nlexicon\tday\tlundi à midi\n",
+        "perturb --ontology": "dims=1\nday\tday\ncafé\tcafé\n",
+    }.get(reader, workspace["test"].read_text() + "\ncafé\tO\n")
+    bad.write_bytes(text.encode("latin-1"))
+    ontology = tmp_path / "ontology.txt"
+    ontology.write_text("dims=1\nday\tday\n")
+    args = {
+        "synth --grammar": ["synth", "--grammar", str(bad), "--ontology", str(ontology)],
+        "perturb --ontology": ["perturb", "--ontology", str(bad),
+                               "--train", str(workspace["train"]),
+                               "--test", str(workspace["test"])],
+        "eval --test": ["eval", "--test", str(bad), "--pred", str(workspace["test"])],
+        "eval --pred": ["eval", "--test", str(workspace["test"]), "--pred", str(bad)],
+        "decode --test": ["decode", "--model", str(trained / "model"), "--test", str(bad)],
+    }[reader]
+    assert run_command([*args, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text ("), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [

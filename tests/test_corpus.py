@@ -1,18 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atomslot.corpus as corpus_module
 from atomslot.corpus import (
     PAD_TOKEN,
     UNK_TOKEN,
     ConfigError,
     Corpus,
     CorpusError,
+    GrammarConfig,
     OverlapError,
     ParseError,
     SlotSpan,
     TaggedUtterance,
+    Template,
     TokenVocabulary,
     builtin_flight_grammar,
     format_corpus,
@@ -23,12 +28,13 @@ from atomslot.corpus import (
     perturb_test_set,
     preprocess,
     read_corpus,
+    relabel_collapse,
     rewrite_digits,
     spans_to_iob,
     subset_corpus,
     write_corpus,
 )
-from atomslot.ontology import build_ontology
+from atomslot.ontology import UnknownSlot, build_ontology, collapse_ontology
 
 
 def utt(tokens, tags):
@@ -413,3 +419,265 @@ def test_builtin_grammar_covers_its_ontology():
     assert len(corpus) == 50
     bottoms = {branch[0] for branch in ontology.branches.values()}
     assert bottoms <= set(grammar.lexicons)
+
+
+@pytest.mark.parametrize("lexicons, message", [
+    ({"day": (("monday",), ())}, "empty value"),
+    ({"day": ()}, "is empty"),
+])
+def test_generate_rejects_an_empty_lexicon_before_any_draw(lexicons, message):
+    grammar = GrammarConfig((Template("leave on $D", (("$D", "day"),)),), lexicons)
+    for n in (0, 5):
+        with pytest.raises(ConfigError, match=message):
+            generate_synthetic(grammar, grammar_ontology(), n, seed=0, role="target")
+
+
+def test_generate_rejects_an_unbound_placeholder_before_any_draw():
+    grammar = GrammarConfig(
+        (Template("leave on $D at $T", (("$D", "day"),)),), {"day": (("monday",),)}
+    )
+    with pytest.raises(ConfigError, match=r"unbound placeholder \$T"):
+        generate_synthetic(grammar, grammar_ontology(), 0, seed=0, role="target")
+
+
+# ---------------------------------------------------------------------------
+# the tag cache
+
+def test_a_malformed_tag_raises_on_every_use_and_is_never_cached(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("fly\tO\nboston\tB-\n")
+    for _ in range(2):
+        for bad in ("B-", "Q-x", "I- x"):
+            with pytest.raises(ValueError, match="malformed tag"):
+                TaggedUtterance(("a",), (bad,))
+            with pytest.raises(ValueError, match="malformed tag"):
+                parse_tag(bad)
+            with pytest.raises(ValueError, match="malformed tag"):
+                iob_to_spans(("a", "b"), ("O", bad))
+            assert bad not in corpus_module._accepted_tags
+        with pytest.raises(ParseError, match="malformed tag") as err:
+            read_corpus(path)
+        assert err.value.line == 2
+        assert "B-" not in corpus_module._accepted_tags
+
+
+def test_the_tag_cache_stays_within_its_bound():
+    limit = corpus_module._ACCEPTED_TAGS_LIMIT
+    for i in range(limit + 50):
+        TaggedUtterance(("a", "b"), (f"B-s{i}", f"I-s{i}"))
+        assert len(corpus_module._accepted_tags) <= limit
+    # tags dropped when the cache was emptied are still accepted
+    assert TaggedUtterance(("a",), ("B-s0",)).tags == ("B-s0",)
+
+
+# ---------------------------------------------------------------------------
+# the tag writers against span-based reference implementations
+
+def reference_iob_to_spans(tokens, tags):
+    spans = []
+    start = None
+    current = ""
+    for i, tag in enumerate(tags):
+        prefix, slot = parse_tag(tag)
+        if start is not None and (prefix in ("O", "B") or slot != current):
+            spans.append(SlotSpan(current, start, i, tuple(tokens[start:i])))
+            start = None
+        if prefix != "O" and start is None:
+            start = i
+            current = slot
+    if start is not None:
+        spans.append(SlotSpan(current, start, len(tags), tuple(tokens[start:])))
+    return tuple(spans)
+
+
+def reference_generate_synthetic(grammar, ontology, n, seed, role):
+    rng = np.random.default_rng(seed)
+    utterances = []
+    for _ in range(n):
+        template = grammar.templates[int(rng.integers(len(grammar.templates)))]
+        bindings = dict(template.bindings)
+        tokens = []
+        spans = []
+        for word in template.text.split():
+            if not word.startswith("$"):
+                tokens.append(word)
+                continue
+            slot = bindings[word]
+            lexicon = grammar.lexicons[ontology.branches[slot][0]]
+            value = lexicon[int(rng.integers(len(lexicon)))]
+            start = len(tokens)
+            tokens.extend(value)
+            spans.append(SlotSpan(slot, start, len(tokens), value))
+        utterances.append(TaggedUtterance(tuple(tokens), spans_to_iob(tokens, spans)))
+    return Corpus(tuple(utterances), role)
+
+
+def reference_relabel_collapse(corpus, mapping):
+    out = []
+    for u in corpus:
+        spans = []
+        for span in reference_iob_to_spans(u.tokens, u.tags):
+            if span.slot not in mapping:
+                raise UnknownSlot(f"slot {span.slot!r} missing from collapse mapping")
+            spans.append(replace(span, slot=mapping[span.slot]))
+        out.append(TaggedUtterance(u.tokens, spans_to_iob(u.tokens, spans)))
+    return Corpus(tuple(out), corpus.role)
+
+
+def reference_perturb_test_set(train, test, ontology, seed):
+    values = {}
+    for u in train:
+        for span in reference_iob_to_spans(u.tokens, u.tags):
+            values.setdefault(span.slot, set()).add(span.value)
+    by_concept = {}
+    for slot in values:
+        by_concept.setdefault(ontology.branches[slot][0], set()).add(slot)
+
+    def pool_for(slot):
+        pool = set()
+        for sibling in by_concept.get(ontology.branches[slot][0], ()):
+            pool |= values[sibling]
+        return sorted(pool - values.get(slot, set()))
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for u in test:
+        tokens = []
+        spans = []
+        cursor = 0
+        for span in reference_iob_to_spans(u.tokens, u.tags):
+            tokens.extend(u.tokens[cursor:span.start])
+            candidates = pool_for(span.slot)
+            value = (
+                candidates[int(rng.integers(len(candidates)))]
+                if candidates
+                else span.value
+            )
+            start = len(tokens)
+            tokens.extend(value)
+            spans.append(SlotSpan(span.slot, start, len(tokens), tuple(value)))
+            cursor = span.end
+        tokens.extend(u.tokens[cursor:])
+        out.append(TaggedUtterance(tuple(tokens), spans_to_iob(tokens, spans)))
+    return Corpus(tuple(out), "test")
+
+
+def assert_same_corpus(fast, slow):
+    assert fast.role == slow.role
+    assert [u.tokens for u in fast] == [u.tokens for u in slow]
+    assert [u.tags for u in fast] == [u.tags for u in slow]
+
+
+MULTI_TOKEN_GRAMMAR = """\
+fly from $A to $B on $D\t$A=from.city,$B=to.city,$D=day
+$D is fine\t$D=day
+from $A\t$A=from.city
+lexicon\tcity\tsalt lake city
+lexicon\tcity\tboston
+lexicon\tcity\tnew york
+lexicon\tday\tthe day after tomorrow
+lexicon\tday\tmonday
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_generate_matches_the_span_based_reference(seed):
+    for grammar, ontology in (
+        builtin_flight_grammar(),
+        (parse_grammar(MULTI_TOKEN_GRAMMAR), grammar_ontology()),
+    ):
+        for n, role in ((0, "target"), (1, "test"), (120, "source")):
+            fast = generate_synthetic(grammar, ontology, n, seed, role)
+            slow = reference_generate_synthetic(grammar, ontology, n, seed, role)
+            assert_same_corpus(fast, slow)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_collapse_and_perturb_match_the_span_based_reference(seed):
+    grammar, ontology = builtin_flight_grammar()
+    _, mapping = collapse_ontology(ontology, 1)
+    train = generate_synthetic(grammar, ontology, 150, seed, "target")
+    test = generate_synthetic(grammar, ontology, 80, seed + 100, "test")
+    assert_same_corpus(
+        relabel_collapse(train, mapping), reference_relabel_collapse(train, mapping)
+    )
+    assert_same_corpus(
+        perturb_test_set(train, test, ontology, seed),
+        reference_perturb_test_set(train, test, ontology, seed),
+    )
+
+
+@pytest.mark.parametrize("tokens, tags", [
+    ("a b c", "O I-x O"),  # orphan I-
+    ("a b c", "I-x I-x B-y"),  # orphan I- opening the utterance
+    ("a b c", "B-x I-y I-y"),  # type switch
+    ("a b c d", "B-x B-y I-y B-x"),  # adjacent B- spans that map to one slot
+    ("a b", "I-x I-y"),  # orphan I- then a type switch to the same target
+    ("a b c", "O O O"),
+])
+def test_collapse_of_malformed_iob_matches_the_reference(tokens, tags):
+    corpus = Corpus((utt(tokens, tags),), "source")
+    mapping = {"x": "z", "y": "z"}
+    assert_same_corpus(
+        relabel_collapse(corpus, mapping), reference_relabel_collapse(corpus, mapping)
+    )
+
+
+def test_collapse_rejects_a_slot_missing_from_the_mapping():
+    corpus = Corpus((utt("a b", "B-x B-y"),), "source")
+    with pytest.raises(UnknownSlot, match="'y'"):
+        relabel_collapse(corpus, {"x": "z"})
+
+
+def random_ontology():
+    return build_ontology(
+        2,
+        (
+            ("city", ("place", "null")),
+            ("state", ("place", "region")),
+            ("time.at", ("time", "at")),
+        ),
+    )
+
+
+def corpus_of(cases, offset, role):
+    utterances = []
+    for k, (n, spans) in enumerate(cases):
+        tokens = tuple(f"w{(i + k * offset) % 5}" for i in range(n))
+        utterances.append(TaggedUtterance(tokens, spans_to_iob(tokens, spans)))
+    return Corpus(tuple(utterances), role)
+
+
+@given(st.lists(span_sets(), min_size=1, max_size=6), st.lists(span_sets(), max_size=6),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_span_set_corpora_match_the_reference(train_cases, test_cases, seed):
+    ontology = random_ontology()
+    train = corpus_of(train_cases, 3, "target")
+    test = corpus_of(test_cases, 2, "test")
+    mapping = {"city": "place", "state": "place", "time.at": "time"}
+    assert_same_corpus(
+        relabel_collapse(train, mapping), reference_relabel_collapse(train, mapping)
+    )
+    assert_same_corpus(
+        perturb_test_set(train, test, ontology, seed),
+        reference_perturb_test_set(train, test, ontology, seed),
+    )
+
+
+@given(st.lists(
+    st.lists(st.sampled_from(["O", "B-city", "I-city", "B-state", "I-state", "I-time.at"]),
+             min_size=1, max_size=10),
+    min_size=1, max_size=5,
+))
+@settings(max_examples=100, deadline=None)
+def test_collapse_of_random_iob_matches_the_reference(tag_lists):
+    corpus = Corpus(
+        tuple(TaggedUtterance(tuple(f"w{i}" for i in range(len(tags))), tuple(tags))
+              for tags in tag_lists),
+        "source",
+    )
+    mapping = {"city": "place", "state": "place", "time.at": "time"}
+    assert_same_corpus(
+        relabel_collapse(corpus, mapping), reference_relabel_collapse(corpus, mapping)
+    )
