@@ -23,7 +23,7 @@ PAD_TOKEN = "<pad>"
 
 ROLES = ("source", "target", "validation", "test")
 
-_TAG_RE = re.compile(r"^(?:O|[BI]-\S+)$")
+_TAG_RE = re.compile(r"O|[BI]-\S+")
 _ALL_DIGITS_RE = re.compile(r"^[0-9]+$")
 
 # Distinct tags that already matched _TAG_RE, so each is matched once and
@@ -58,7 +58,7 @@ def _check_tag(tag: str) -> None:
     """ValueError unless ``tag`` is ``O``, ``B-x`` or ``I-x``."""
     if tag in _accepted_tags:
         return
-    if not _TAG_RE.match(tag):
+    if not _TAG_RE.fullmatch(tag):
         raise ValueError(f"malformed tag {tag!r}")
     if len(_accepted_tags) >= _ACCEPTED_TAGS_LIMIT:
         _accepted_tags.clear()

@@ -970,7 +970,7 @@ def _check_bundle(model: TaggerModel) -> None:
     present exactly for ACD kinds."""
     kind, ontology = model.kind, model.ontology
     dims = model.dims_used
-    if not isinstance(dims, int) or not (
+    if type(dims) is not int or not (  # a bool is not a count
         dims == 0 if kind == JS
         else dims == 1 if kind in ACD_KINDS
         else 1 <= dims <= ontology.depth

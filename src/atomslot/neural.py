@@ -517,31 +517,12 @@ def _normalize_ids(params: ModelParams, ids) -> tuple[np.ndarray, ...]:
     return seqs
 
 
-@dataclass
-class _ForwardCache:
-    ids: tuple[np.ndarray, ...]
-    cells: _Cache           # over post-dropout inputs, B = 1
-    features: np.ndarray    # (n, 2H), pre-dropout
-    head_input: np.ndarray  # (n, 2H), post-dropout
-    masks: DropoutMasks | None
-
-
-def _forward(params: ModelParams, ids, masks: DropoutMasks | None) -> _ForwardCache:
-    seqs = _normalize_ids(params, ids)
-    xs = np.concatenate(
-        [table.weights[seq] for table, seq in zip(params.tables, seqs)], axis=1
-    )
-    if masks is not None:
-        xs = xs * masks.input
-    cells = _run_cells(params, xs[:, None])
-    features = cells.features()[:, 0]
-    head_input = features * masks.features if masks is not None else features
-    return _ForwardCache(seqs, cells, features, head_input, masks)
-
-
-def blstm_forward(params: ModelParams, ids, masks: DropoutMasks | None = None) -> np.ndarray:
-    """Per-position features: forward and backward states concatenated."""
-    return _forward(params, ids, masks).features
+def blstm_forward(params: ModelParams, ids) -> np.ndarray:
+    """Per-position features, (n, 2H): forward and backward states
+    concatenated, dropout off."""
+    for _, features in blstm_forward_batch(params, [ids]):
+        return features[0]
+    return np.empty((0, 2 * params.hidden))
 
 
 # Sentences per lockstep group.  Each group's input projection and features,
@@ -695,9 +676,8 @@ def loss_and_gradients(
     total = 0.0
     dlogits_all, head_in_all, dz_all, xh_all, dx_all, ids_all = [], [], [], [], [], []
     for b, (ids, labels) in enumerate(batch):
-        item_masks = masks[b] if masks is not None else None
-        fc = _forward(params, ids, item_masks)
-        n = fc.head_input.shape[0]
+        seqs = _normalize_ids(params, ids)
+        n = len(seqs[0])
         if n == 0:
             continue
         if len(labels) != len(params.heads):
@@ -705,9 +685,19 @@ def loss_and_gradients(
                 f"batch item {b}: {len(labels)} label sequences for "
                 f"{len(params.heads)} heads"
             )
+        item_masks = masks[b] if masks is not None else None
+        xs = np.concatenate(
+            [table.weights[seq] for table, seq in zip(params.tables, seqs)], axis=1
+        )
+        if item_masks is not None:
+            xs = xs * item_masks.input
+        cells = _run_cells(params, xs[:, None])
+        head_input = cells.features()[:, 0]
+        if item_masks is not None:
+            head_input = head_input * item_masks.features
         rows = np.arange(n)
         # every head's logits come from one product over the stacked heads
-        dlogits = fc.head_input @ params.heads_w.T + params.heads_b
+        dlogits = head_input @ params.heads_w.T + params.heads_b
         for j, gold in enumerate(labels):
             gold = np.asarray(gold, dtype=np.int64)
             if len(gold) != n:
@@ -720,18 +710,18 @@ def loss_and_gradients(
             np.exp(logp, out=segment)
             segment[rows, gold] -= 1.0
         dfeats = dlogits @ params.heads_w
-        if fc.masks is not None:
-            dfeats *= fc.masks.features
-        dz, xh, dx = _backprop_cells(params, fc.cells, dfeats[:, None])
+        if item_masks is not None:
+            dfeats *= item_masks.features
+        dz, xh, dx = _backprop_cells(params, cells, dfeats[:, None])
         dx = dx[:, 0]
-        if fc.masks is not None:
-            dx *= fc.masks.input
+        if item_masks is not None:
+            dx *= item_masks.input
         dlogits_all.append(dlogits)
-        head_in_all.append(fc.head_input)
+        head_in_all.append(head_input)
         dz_all.append(dz)
         xh_all.append(xh)
         dx_all.append(dx)
-        ids_all.append(fc.ids)
+        ids_all.append(seqs)
     if not dz_all:
         return total, grads
     dlogits, dz, dx = _joined(dlogits_all), _joined(dz_all, axis=1), _joined(dx_all)

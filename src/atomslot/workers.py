@@ -11,9 +11,10 @@ caller's ``__main__``, so an unguarded script works.  Workers start with
 one BLAS thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` set to 1): a second BLAS thread only spin-waits at
 these matrix sizes and would take the core another worker needs.  They
-talk to the parent over their standard input and output in length-prefixed
-pickles.  ``fn`` and ``shared`` go to each worker once per ``run``, then
-one task at a time.
+talk to the parent over their standard input and output, one pickle per
+message: ``("setup", data)`` carries ``fn`` and ``shared``, pickled once per
+``run``; ``("task", args)`` follows, one at a time; and each task's reply
+is ``(True, result)`` or ``(False, (exception, traceback_text))``.
 
 The pool starts on first use, grows to the largest ``count`` asked for,
 and lives until the interpreter exits.  Workers exit on end of input.  An
@@ -25,12 +26,10 @@ next ``run`` starts a new pool.  The pool is not shared across threads.
 from __future__ import annotations
 
 import atexit
-import io
 import os
 import pickle
 import selectors
 import signal
-import struct
 import subprocess
 import sys
 import traceback
@@ -43,9 +42,6 @@ _SERVE = (
     "from atomslot.workers import serve; serve()"
 )
 
-# one message: a kind byte and a payload length, then the payload
-_HEADER = struct.Struct("<cQ")
-_SETUP, _TASK, _OK, _ERROR = b"s", b"t", b"o", b"e"
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
 
@@ -68,74 +64,64 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _send(fh, kind: bytes, payload: bytes = b"") -> None:
-    for data in (_HEADER.pack(kind, len(payload)), payload):
-        view = memoryview(data)
-        while view:
-            view = view[fh.write(view):]
+def _send(fh, data: bytes) -> None:
+    """Write one message, pickled in full beforehand: a message that fails
+    to pickle halfway must leave nothing on the pipe."""
+    fh.write(data)
+    fh.flush()
 
 
-def _read_exact(fh, n: int) -> bytearray | None:
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        k = fh.readinto(view[got:])
-        if not k:
-            return None
-        got += k
-    return buf
+def _receive(fh):
+    """The next message, or None where the input ends, also inside one.
 
-
-def _receive(fh) -> tuple[bytes, bytearray] | None:
-    """The next message, or None at end of input."""
-    header = _read_exact(fh, _HEADER.size)
-    if header is None:
+    The pipes are buffered, yet a read never takes in part of a second
+    message behind the selector's back: a worker has at most one task
+    outstanding, so at most one reply in flight, and its stray prints go
+    to standard error.
+    """
+    try:
+        return pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError):
         return None
-    kind, size = _HEADER.unpack(header)
-    payload = _read_exact(fh, size)
-    return None if payload is None else (kind, payload)
 
 
 # ---------------------------------------------------------------------------
 # the worker's side
 
 def _pickled_error(exc: Exception) -> bytes:
-    """``exc`` and its traceback; an exception that does not survive a
-    pickle round trip becomes a RuntimeError carrying its type and text."""
+    """The reply for ``exc`` and its traceback; an exception that does not
+    survive a pickle round trip becomes a RuntimeError carrying its type
+    and text."""
     text = "".join(traceback.format_exception(exc))
     try:
-        data = pickle.dumps((exc, text), _PICKLE)
+        data = pickle.dumps((False, (exc, text)), _PICKLE)
         pickle.loads(data)
         return data
     except Exception:
-        return pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text), _PICKLE)
+        error = RuntimeError(f"{type(exc).__name__}: {exc}")
+        return pickle.dumps((False, (error, text)), _PICKLE)
 
 
 def serve() -> None:
     """Answer tasks from standard input until it ends."""
     # an interrupt is the parent's to handle; it then ends the workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    inp = io.FileIO(0, "r", closefd=False)
-    out = io.FileIO(os.dup(1), "w")
+    out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # so that a stray print cannot corrupt a reply
     setup = job = None
-    while True:
-        message = _receive(inp)
-        if message is None:
-            return
+    while (message := _receive(sys.stdin.buffer)) is not None:
         kind, payload = message
-        if kind == _SETUP:
+        if kind == "setup":
             setup, job = payload, None
             continue
         try:
             if job is None:
                 job = pickle.loads(setup)
             fn, shared = job
-            reply = _OK, pickle.dumps(fn(*pickle.loads(payload), *shared), _PICKLE)
+            reply = pickle.dumps((True, fn(*payload, *shared)), _PICKLE)
         except Exception as exc:
-            reply = _ERROR, _pickled_error(exc)
-        _send(out, *reply)
+            reply = _pickled_error(exc)
+        _send(out, reply)
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +137,16 @@ class _Worker:
     def __init__(self):
         self.proc = subprocess.Popen(
             [sys.executable, "-c", _SERVE],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            bufsize=0, env=_environment(),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=_environment(),
         )
 
-    def send(self, kind: bytes, payload: bytes) -> None:
+    def send(self, data: bytes) -> None:
         try:
-            _send(self.proc.stdin, kind, payload)
+            _send(self.proc.stdin, data)
         except OSError:
             raise self._lost() from None
 
-    def receive(self) -> tuple[bytes, bytearray]:
+    def receive(self) -> tuple[bool, object]:
         message = _receive(self.proc.stdout)
         if message is None:
             raise self._lost()
@@ -193,51 +178,49 @@ class _Pool:
         for w in self.workers:
             if kill:
                 w.proc.kill()
-            else:
-                try:
-                    w.proc.stdin.close()
-                except OSError:
-                    pass
+            try:
+                w.proc.stdin.close()
+            except OSError:  # a message left unsent to a worker now gone
+                pass
         for w in self.workers:
             try:
                 w.proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 w.proc.kill()
                 w.proc.wait()
-            for pipe in (w.proc.stdin, w.proc.stdout):
-                pipe.close()
+            w.proc.stdout.close()
         self.workers = []
         self.busy = {}
 
     def run(self, count: int, fn, shared: tuple, tasks: list):
-        setup = pickle.dumps((fn, shared), _PICKLE)
+        setup = pickle.dumps(("setup", pickle.dumps((fn, shared), _PICKLE)), _PICKLE)
         todo = list(enumerate(tasks))[::-1]
         failure = None
         with selectors.DefaultSelector() as selector:
 
             def start(worker):
                 index, task = todo.pop()
-                worker.send(_TASK, pickle.dumps(task, _PICKLE))
+                worker.send(pickle.dumps(("task", task), _PICKLE))
                 self.busy[worker] = index
                 selector.register(worker.proc.stdout, selectors.EVENT_READ, worker)
 
             for worker in self.workers[:min(count, len(todo))]:
-                worker.send(_SETUP, setup)
+                worker.send(setup)
                 start(worker)
             while self.busy:
                 for key, _ in selector.select():
                     worker = key.data
-                    kind, payload = worker.receive()
+                    ok, payload = worker.receive()
                     selector.unregister(key.fileobj)
                     index = self.busy.pop(worker)
-                    if kind == _ERROR:
+                    if not ok:
                         # the others finish their tasks, so the pool stays usable
-                        failure = failure or pickle.loads(payload)
+                        failure = failure or payload
                         continue
                     if failure is None:
                         if todo:
                             start(worker)
-                        yield index, pickle.loads(payload)
+                        yield index, payload
         if failure is not None:
             exc, text = failure
             raise exc from _RemoteTraceback(text)
@@ -261,6 +244,8 @@ def run(count: int, fn, shared: tuple, tasks: list):
     ``fn`` and every argument must pickle, and ``fn`` must be importable
     from this package or the standard library.  An exception from a task
     is raised here with its type once the other running tasks are done.
+    A task's arguments are unpickled as its message arrives, so arguments
+    that a worker cannot unpickle end that worker: ``WorkerLost``.
     """
     global _POOL
     if _POOL is not None and (_POOL.pid != os.getpid() or not _POOL.alive()):

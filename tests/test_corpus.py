@@ -447,7 +447,7 @@ def test_a_malformed_tag_raises_on_every_use_and_is_never_cached(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("fly\tO\nboston\tB-\n")
     for _ in range(2):
-        for bad in ("B-", "Q-x", "I- x"):
+        for bad in ("B-", "Q-x", "I- x", "B-city\n"):
             with pytest.raises(ValueError, match="malformed tag"):
                 TaggedUtterance(("a",), (bad,))
             with pytest.raises(ValueError, match="malformed tag"):

@@ -851,6 +851,15 @@ def test_load_model_rejects_shapes_that_miss_a_stage(tmp_path):
         load_model(bundle)
 
 
+def test_load_model_rejects_a_bool_dims_used(tmp_path):
+    _, bundle = _untrained_acd1_bundle(tmp_path)
+    load_model(bundle)
+    # True == 1, the count an ACD model keeps
+    _edit_manifest(bundle, lambda m: {**m, "dims_used": True})
+    with pytest.raises(ModelError, match="dims_used True"):
+        load_model(bundle)
+
+
 def test_load_model_rejects_a_text_bundle(tmp_path):
     bundle = _saved_js_bundle(tmp_path)
     _edit_manifest(bundle, lambda m: {**m, "format": "atomslot-model v1"})

@@ -2,6 +2,7 @@
 and the worker pool's lifecycle: errors, lost workers, scripts, exit."""
 
 import functools
+import io
 import os
 import pickle
 import signal
@@ -142,6 +143,31 @@ def test_a_worker_killed_mid_task_raises_instead_of_hanging():
     idle.kill()
     idle.wait(timeout=10)
     assert len(worker_pids() - pids) == 2
+
+
+def test_a_setup_and_a_reply_larger_than_a_pipe_buffer_go_through():
+    size = 4 << 20
+    assert dict(workers.run(2, len, (b"x" * size,), [()] * 3)) == {0: size, 1: size, 2: size}
+    assert dict(workers.run(2, bytes, (), [(size,)] * 2)) == {0: bytes(size), 1: bytes(size)}
+
+
+def test_a_result_that_does_not_pickle_raises_and_the_pool_runs_on():
+    pids = worker_pids(1)
+    with pytest.raises(TypeError):
+        list(workers.run(1, threading.Lock, (), [()]))
+    assert list(workers.run(1, abs, (), [(-2,)])) == [(0, 2)]
+    assert worker_pids(1) == pids
+
+
+def test_a_task_that_prints_still_gets_its_reply():
+    assert list(workers.run(1, print, (), [("noise",)])) == [(0, None)]
+
+
+def test_a_stream_that_ends_at_or_inside_a_message_is_end_of_input():
+    data = pickle.dumps(("task", (1, "two", 3.0)), pickle.HIGHEST_PROTOCOL)
+    assert workers._receive(io.BytesIO(data)) == ("task", (1, "two", 3.0))
+    for cut in range(len(data)):
+        assert workers._receive(io.BytesIO(data[:cut])) is None, cut
 
 
 def test_workers_run_single_threaded_blas():
