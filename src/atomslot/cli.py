@@ -100,7 +100,7 @@ def _parse_sizes(text: str) -> list[int | None]:
             continue
         if part == "all":
             sizes.append(None)
-        elif part.isdigit():
+        elif part.isdecimal():
             sizes.append(int(part))
         else:
             raise UsageError(f"bad subset size {part!r} (use integers or 'all')")

@@ -24,7 +24,7 @@ PAD_TOKEN = "<pad>"
 ROLES = ("source", "target", "validation", "test")
 
 _TAG_RE = re.compile(r"O|[BI]-\S+")
-_ALL_DIGITS_RE = re.compile(r"^[0-9]+$")
+_ALL_DIGITS_RE = re.compile(r"[0-9]+")
 
 # Distinct tags that already matched _TAG_RE, so each is matched once and
 # not once per token.  Membership only skips the match and changes no
@@ -244,16 +244,21 @@ def _read_corpus(path, role: str) -> Corpus:
 
 
 def format_corpus(corpus: Corpus) -> str:
-    blocks = [
-        "\n".join(f"{tok}\t{tag}" for tok, tag in zip(u.tokens, u.tags))
-        for u in corpus
-    ]
+    """The text ``read_corpus`` parses back.  A token it could not read
+    back (empty, or holding a TAB or a line break) raises CorpusError."""
+    blocks = []
+    for n, u in enumerate(corpus, start=1):
+        for tok in u.tokens:
+            if not tok or "\t" in tok or "\n" in tok or "\r" in tok:
+                raise CorpusError(f"utterance {n}: cannot write the token {tok!r}")
+        blocks.append("\n".join(f"{tok}\t{tag}" for tok, tag in zip(u.tokens, u.tags)))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
 def write_corpus(corpus: Corpus, path) -> None:
+    text = format_corpus(corpus)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_corpus(corpus))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +306,13 @@ class TokenVocabulary:
                 out._ids[token] = len(out._ids)
         return out
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for token, idx in self._ids.items():
-                fh.write(f"{idx}\t{token}\n")
-
-    @classmethod
-    def load(cls, path) -> "TokenVocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls.read(fh)
+    def format(self) -> str:
+        """One ``id<TAB>token`` line per token, in id order."""
+        return "".join(f"{idx}\t{token}\n" for token, idx in self._ids.items())
 
     @classmethod
     def read(cls, lines: Iterable[str]) -> "TokenVocabulary":
-        """The vocabulary ``save`` wrote, from the lines of its file."""
+        """The vocabulary ``format`` wrote, from its lines."""
         out = cls()
         for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\n")
@@ -338,7 +337,7 @@ class TokenVocabulary:
 
 def rewrite_digits(token: str) -> str:
     """An all-digit token of length N becomes ``DIGIT*N``."""
-    if _ALL_DIGITS_RE.match(token):
+    if _ALL_DIGITS_RE.fullmatch(token):
         return f"DIGIT*{len(token)}"
     return token
 

@@ -48,10 +48,10 @@ from .ontology import (
     Ontology,
     OntologyError,
     branch_to_slot,
+    format_ontology,
     ontology_diff,
     ontology_hash,
     parse_ontology,
-    write_ontology,
 )
 
 JS = "JS"
@@ -895,56 +895,48 @@ def learning_curve(
 # ---------------------------------------------------------------------------
 # model bundles on disk
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _params_bytes(params: ModelParams) -> bytes:
+    buffer = io.BytesIO()
+    neural.save_params(params, buffer)
+    return buffer.getvalue()
 
 
 def save_model(model: TaggerModel, directory, config: TrainingConfig | None = None) -> None:
     """Write a self-contained bundle: manifest, ontology, vocabularies, each
     stage's parameter buffer as ``.npy`` and every stage's ``ShapeSpec`` in
-    ``shapes.json``.  The manifest records the SHA-256 of every file it
+    ``shapes.json``.  Each file is serialized once, and the manifest,
+    written last, records the SHA-256 of those bytes for every file it
     lists."""
-    os.makedirs(directory, exist_ok=True)
     stages = {"stage1": model.stage1}
     if model.stage2 is not None:
         stages["stage2"] = model.stage2
-    files = {"ontology": "ontology.txt", "vocab": "vocab.txt", "shapes": "shapes.json"}
-    files.update((name, f"{name}.npy") for name in stages)
+    # name in the manifest: (file name, content)
+    parts = {
+        "ontology": ("ontology.txt", format_ontology(model.ontology).encode("utf-8")),
+        "vocab": ("vocab.txt", model.vocab.format().encode("utf-8")),
+        "shapes": ("shapes.json",
+                   _json_bytes({name: params.shape.to_json() for name, params in stages.items()})),
+    }
+    parts.update((name, (f"{name}.npy", _params_bytes(params))) for name, params in stages.items())
     if model.stage2_vocab is not None:
-        files["stage2_vocab"] = "stage2_vocab.txt"
-    paths = {name: os.path.join(directory, base) for name, base in files.items()}
-    write_ontology(model.ontology, paths["ontology"])
-    model.vocab.save(paths["vocab"])
-    _write_json({name: params.shape.to_json() for name, params in stages.items()},
-                paths["shapes"])
-    for name, params in stages.items():
-        neural.save_params(params, paths[name])
-    if model.stage2_vocab is not None:
-        model.stage2_vocab.save(paths["stage2_vocab"])
+        parts["stage2_vocab"] = ("stage2_vocab.txt", model.stage2_vocab.format().encode("utf-8"))
     manifest = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
         "dims_used": model.dims_used,
         "ontology_sha256": ontology_hash(model.ontology),
-        "files": files,
-        "sha256": {name: _sha256_file(p) for name, p in paths.items()},
+        "files": {name: base for name, (base, _) in parts.items()},
+        "sha256": {name: hashlib.sha256(data).hexdigest() for name, (_, data) in parts.items()},
         "config": dataclasses.asdict(config) if config is not None else None,
     }
-    _write_json(manifest, os.path.join(directory, "manifest.json"))
+    os.makedirs(directory, exist_ok=True)
+    for base, data in [*parts.values(), ("manifest.json", _json_bytes(manifest))]:
+        with open(os.path.join(directory, base), "wb") as fh:
+            fh.write(data)
 
 
 _MANIFEST_KEYS = ("kind", "dims_used", "files", "sha256", "ontology_sha256")
@@ -1038,7 +1030,7 @@ def load_model(directory) -> TaggerModel:
     misfit raises ModelError.
     """
     manifest_path = os.path.join(directory, "manifest.json")
-    manifest = _read(manifest_path, lambda: _read_json(manifest_path))
+    manifest = _read(manifest_path, lambda: json.load(_text(_read_bytes(manifest_path))))
     if not isinstance(manifest, dict):
         raise ModelError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != MODEL_FORMAT:

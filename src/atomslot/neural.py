@@ -814,11 +814,10 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 # parameter files: the flat buffer as one .npy array (NumPy's NEP 1 format)
 
-def save_params(params: ModelParams, path) -> None:
-    """Write the parameter buffer; its ``ShapeSpec`` is stored separately
-    (see ``ShapeSpec.to_json``)."""
-    with open(path, "wb") as fh:
-        np.save(fh, params.buffer, allow_pickle=False)
+def save_params(params: ModelParams, fh) -> None:
+    """Write the parameter buffer to the writable binary file ``fh``; its
+    ``ShapeSpec`` is stored separately (see ``ShapeSpec.to_json``)."""
+    np.save(fh, params.buffer, allow_pickle=False)
 
 
 def load_params(path, shape: ShapeSpec, data: bytes | None = None) -> ModelParams:

@@ -428,6 +428,19 @@ def test_curve_rejects_unknown_system(workspace, tmp_path):
     ]) == 1
 
 
+@pytest.mark.parametrize("sizes", ["²", "8,-1", "x", ","])
+def test_curve_rejects_bad_sizes(workspace, tmp_path, capsys, sizes):
+    # "²".isdigit() is true, but int("²") raises
+    assert run_command([
+        "curve", "--systems", "JS_T", "--sizes", sizes,
+        "--ontology", str(workspace["ontology"]),
+        "--train", str(workspace["train"]), "--valid", str(workspace["valid"]),
+        "--test", str(workspace["test"]), "--out", str(tmp_path / "c"),
+    ]) == 1
+    assert "subset size" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_curve_checks_every_system_before_training(workspace, tmp_path, monkeypatch, capsys):
     calls = record_reads_and_runs(monkeypatch)
     args = [

@@ -1,3 +1,5 @@
+import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +175,15 @@ def test_format_corpus_ends_with_newline():
     assert format_corpus(corpus).endswith("O\n")
 
 
+@pytest.mark.parametrize("token", ["", "a\tb", "12\n", "a\rb"])
+def test_write_corpus_rejects_tokens_it_cannot_read_back(tmp_path, token):
+    corpus = Corpus((utt("a", "O"), TaggedUtterance(("fly", token), ("O", "O"))), "target")
+    path = tmp_path / "c.txt"
+    with pytest.raises(CorpusError, match=f"utterance 2: .*{re.escape(repr(token))}"):
+        write_corpus(corpus, path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # preprocessing and vocabulary
 
@@ -181,6 +192,7 @@ def test_rewrite_digits():
     assert rewrite_digits("7") == "DIGIT*1"
     assert rewrite_digits("10am") == "10am"
     assert rewrite_digits("twelve") == "twelve"
+    assert rewrite_digits("12\n") == "12\n"
 
 
 def test_preprocess_rewrites_digits_and_unks_singletons():
@@ -230,13 +242,13 @@ def test_preprocess_idempotent_once_vocab_fixed():
     assert twice == once
 
 
-def test_vocab_roundtrip_and_encode(tmp_path):
+def test_vocab_roundtrip_and_encode():
     corpus = Corpus((utt("a b a c", "O O O O"),), "target")
     vocab = TokenVocabulary.from_corpus(corpus)
     assert vocab.encode(("a", "zzz")).tolist() == [vocab.id_of("a"), 1]
-    path = tmp_path / "v.txt"
-    vocab.save(path)
-    again = TokenVocabulary.load(path)
+    text = vocab.format()
+    assert text.splitlines()[:3] == [f"0\t{PAD_TOKEN}", f"1\t{UNK_TOKEN}", "2\ta"]
+    again = TokenVocabulary.read(io.StringIO(text))
     assert again == vocab
     extended = vocab.extended(["q", "a"])
     assert len(extended) == len(vocab) + 1

@@ -797,6 +797,42 @@ def test_load_model_reads_each_listed_file_once(tmp_path, monkeypatch):
         assert opened.count(str(bundle / base)) == 1, base
 
 
+def test_save_model_writes_each_file_once_and_reads_none(tmp_path, monkeypatch):
+    import builtins
+    import json
+
+    model, _ = _untrained_acd1_bundle(tmp_path)
+    bundle = tmp_path / "again"
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(path, mode="r", *a, **k):
+        opened.append((str(path), mode))
+        return real_open(path, mode, *a, **k)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    save_model(model, bundle, TINY)
+    monkeypatch.undo()
+    files = json.loads((bundle / "manifest.json").read_text())["files"]
+    written = sorted(path for path, mode in opened if "w" in mode)
+    assert written == sorted(str(bundle / base) for base in [*files.values(), "manifest.json"])
+    assert [path for path, mode in opened if "w" not in mode] == []
+
+
+@pytest.mark.parametrize("preset", ["JS_T", "AC_TS", "ACD_TS_1", "ACD_TS_2"])
+def test_saving_a_loaded_bundle_reproduces_every_byte(tmp_path, preset):
+    ontology, source_ontology, src, src_valid, tgt, valid = adapt_corpora()
+    model = adapt(preset, source_ontology, ontology, src, src_valid, tgt, valid, TINY).model
+    save_model(model, tmp_path / "saved", TINY)
+    save_model(load_model(tmp_path / "saved"), tmp_path / "resaved", TINY)
+    names = sorted(path.name for path in (tmp_path / "saved").iterdir())
+    assert sorted(path.name for path in (tmp_path / "resaved").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "resaved" / name).read_bytes() == (
+            tmp_path / "saved" / name
+        ).read_bytes(), name
+
+
 def _edit_manifest(bundle, edit):
     import json
 

@@ -349,7 +349,8 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     )
     params = init_params(shape, 13)
     path = tmp_path / "params.npy"
-    save_params(params, path)
+    with open(path, "wb") as fh:
+        save_params(params, fh)
     again = load_params(path, ShapeSpec.from_json(json.loads(json.dumps(shape.to_json()))))
     assert again.shape == shape
     assert np.array_equal(again.buffer, params.buffer)
@@ -395,7 +396,8 @@ def _corrupt_missing_block(data, params):
 def test_load_rejects_damaged_checkpoints(tmp_path, corrupt):
     params = small_params(seed=2)
     path = tmp_path / "params.npy"
-    save_params(params, path)
+    with open(path, "wb") as fh:
+        save_params(params, fh)
     path.write_bytes(corrupt(path.read_bytes(), params))
     with pytest.raises(NeuralError):
         load_params(path, SHAPE)
