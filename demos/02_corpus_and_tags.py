@@ -25,7 +25,7 @@ assert spans_to_iob(tokens, spans) == tags  # lossless in both directions
 
 # The on-disk format is one token<TAB>tag pair per line, blank line
 # between utterances.
-corpus = Corpus([TaggedUtterance(tokens, tags)], role="target")
+corpus = Corpus([TaggedUtterance(tokens, tags)])
 print("\nfile format:")
 print(format_corpus(corpus))
 
@@ -39,7 +39,6 @@ raw = Corpus(
         TaggedUtterance(("fly", "to", "boston"), ("O", "O", "B-to.city")),
         TaggedUtterance(("fly", "to", "denver"), ("O", "O", "B-to.city")),
     ],
-    role="target",
 )
 prepared, vocab = preprocess(raw)
 print("after preprocess (boston/denver occur once):")
@@ -50,7 +49,7 @@ print("vocabulary:", vocab.tokens())
 # The bundled grammar generates flight requests over a 20-slot,
 # 2-dimension ontology; handy for experiments without real data.
 grammar, ontology = builtin_flight_grammar()
-sample = generate_synthetic(grammar, ontology, 3, seed=4, role="target")
+sample = generate_synthetic(grammar, ontology, 3, seed=4)
 print("\nthree generated sentences:")
 for u in sample:
     print(" ", " ".join(u.tokens))

@@ -20,9 +20,9 @@ from atomslot.models import (
 from atomslot.neural import TrainingConfig
 
 grammar, ontology = builtin_flight_grammar()
-train_raw = generate_synthetic(grammar, ontology, 250, seed=1, role="target")
-valid = generate_synthetic(grammar, ontology, 40, seed=2, role="validation")
-test = generate_synthetic(grammar, ontology, 40, seed=3, role="test")
+train_raw = generate_synthetic(grammar, ontology, 250, seed=1)
+valid = generate_synthetic(grammar, ontology, 40, seed=2)
+test = generate_synthetic(grammar, ontology, 40, seed=3)
 
 train_corpus, _ = preprocess(train_raw)
 

@@ -25,14 +25,14 @@ SIZES = (25, 100)
 grammar, ontology = builtin_flight_grammar()
 source_ontology, mapping = collapse_ontology(ontology, 1)
 
-target_pool = generate_synthetic(grammar, ontology, 400, seed=11, role="target")
-target_valid = generate_synthetic(grammar, ontology, 60, seed=12, role="validation")
-test = generate_synthetic(grammar, ontology, 150, seed=13, role="test")
+target_pool = generate_synthetic(grammar, ontology, 400, seed=11)
+target_valid = generate_synthetic(grammar, ontology, 60, seed=12)
+test = generate_synthetic(grammar, ontology, 150, seed=13)
 source_train = relabel_collapse(
-    generate_synthetic(grammar, ontology, 1000, seed=14, role="source"), mapping
+    generate_synthetic(grammar, ontology, 1000, seed=14), mapping
 )
 source_valid = relabel_collapse(
-    generate_synthetic(grammar, ontology, 80, seed=15, role="validation"), mapping
+    generate_synthetic(grammar, ontology, 80, seed=15), mapping
 )
 
 config = TrainingConfig(

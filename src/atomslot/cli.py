@@ -158,7 +158,7 @@ def _write_log(log, out_dir: str, name: str) -> None:
 
 def _cmd_synth(args) -> int:
     grammar, ontology = _load_grammar(args)
-    corpus = generate_synthetic(grammar, ontology, args.n, args.seed, role=args.role)
+    corpus = generate_synthetic(grammar, ontology, args.n, args.seed)
     _write_manifest(args, args.out)
     write_corpus(corpus, os.path.join(args.out, "corpus.txt"))
     write_ontology(ontology, os.path.join(args.out, "ontology.txt"))
@@ -174,22 +174,19 @@ def _cmd_collapse(args) -> int:
     with open(os.path.join(args.out, "mapping.tsv"), "w", encoding="utf-8") as fh:
         for original in sorted(mapping):
             fh.write(f"{original}\t{mapping[original]}\n")
-    for flag, role in (("train", "source"), ("valid", "validation"), ("test", "test")):
+    for flag in ("train", "valid", "test"):
         path = getattr(args, flag)
-        if path is None:
-            continue
-        corpus = read_corpus(path, role=role)
-        write_corpus(
-            relabel_collapse(corpus, mapping), os.path.join(args.out, f"{flag}.txt")
-        )
+        if path is not None:
+            corpus = relabel_collapse(read_corpus(path), mapping)
+            write_corpus(corpus, os.path.join(args.out, f"{flag}.txt"))
     print(f"collapsed to {args.keep_dims} dimension(s): {len(collapsed)} slots")
     return 0
 
 
 def _cmd_perturb(args) -> int:
     ontology = _load_ontology(args.ontology)
-    train = read_corpus(args.train, role="target")
-    test = read_corpus(args.test, role="test")
+    train = read_corpus(args.train)
+    test = read_corpus(args.test)
     perturbed = perturb_test_set(train, test, ontology, args.seed)
     _write_manifest(args, args.out)
     write_corpus(perturbed, os.path.join(args.out, "test.txt"))
@@ -207,7 +204,7 @@ def _finish_run(args, model, config, logs, summary: str | None) -> int:
     if summary is not None:
         print(summary)
     if args.test is not None:
-        report = models.evaluate_model(model, read_corpus(args.test, role="test"))
+        report = models.evaluate_model(model, read_corpus(args.test))
         _write_eval(report, args.out)
         print(f"test F1 {report.f1:.2f}")
     return 0
@@ -219,8 +216,8 @@ def _cmd_train(args) -> int:
     # training from scratch is the preset that skips the source steps
     result = models.run_experiment(
         f"{args.kind}_T", None, ontology, None, None,
-        read_corpus(args.train, role="target"),
-        read_corpus(args.valid, role="validation"),
+        read_corpus(args.train),
+        read_corpus(args.valid),
         config, subset=args.subset,
     )
     best = result.logs["target"].best
@@ -241,13 +238,13 @@ def _check_source_flags(args, preset: str) -> None:
 
 
 def _read_adapt_corpora(args):
-    target_train = read_corpus(args.train, role="target")
-    target_valid = read_corpus(args.valid, role="validation")
+    target_train = read_corpus(args.train)
+    target_valid = read_corpus(args.valid)
     source_train = source_valid = None
     if args.source_train is not None:
-        source_train = read_corpus(args.source_train, role="source")
+        source_train = read_corpus(args.source_train)
     if args.source_valid is not None:
-        source_valid = read_corpus(args.source_valid, role="validation")
+        source_valid = read_corpus(args.source_valid)
     return source_train, source_valid, target_train, target_valid
 
 
@@ -273,14 +270,11 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_decode(args) -> int:
     model = models.load_model(args.model)
-    corpus = read_corpus(args.test, role="test")
+    corpus = read_corpus(args.test)
     prepared, _ = preprocess(corpus, model.vocab)
     predictions = models.predict_corpus(model, prepared)
     decoded = Corpus(
-        tuple(
-            TaggedUtterance(u.tokens, tags) for u, tags in zip(corpus, predictions)
-        ),
-        corpus.role,
+        tuple(TaggedUtterance(u.tokens, tags) for u, tags in zip(corpus, predictions))
     )
     _write_manifest(args, args.out)
     write_corpus(decoded, os.path.join(args.out, "decoded.txt"))
@@ -291,9 +285,9 @@ def _cmd_decode(args) -> int:
 def _cmd_eval(args) -> int:
     if (args.pred is None) == (args.model is None):
         raise UsageError("eval needs exactly one of --pred or --model")
-    reference = read_corpus(args.test, role="test")
+    reference = read_corpus(args.test)
     if args.pred is not None:
-        predicted = read_corpus(args.pred, role="test")
+        predicted = read_corpus(args.pred)
         for index, (ref, pred) in enumerate(zip(reference, predicted)):
             if ref.tokens != pred.tokens:
                 raise EvalError(
@@ -357,7 +351,7 @@ def _cmd_curve(args) -> int:
     )
     config = _training_config(args)
     source_train, source_valid, target_train, target_valid = _read_adapt_corpora(args)
-    test = read_corpus(args.test, role="test")
+    test = read_corpus(args.test)
     rows = ["system\tsize\tf1"]
     for system, size, result in models.learning_curve(
         systems, sizes, source_ontology, target_ontology,
@@ -403,8 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ontology", default=BUILTIN)
     p.add_argument("--n", type=_non_negative_int, default=100)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--role", default="target",
-                   choices=("source", "target", "validation", "test"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 

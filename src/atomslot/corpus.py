@@ -21,8 +21,6 @@ from .ontology import NULL_ATOM, Ontology, UnknownSlot
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
 
-ROLES = ("source", "target", "validation", "test")
-
 _TAG_RE = re.compile(r"O|[BI]-\S+")
 _ALL_DIGITS_RE = re.compile(r"[0-9]+")
 
@@ -112,12 +110,9 @@ class TaggedUtterance:
 @dataclass(frozen=True)
 class Corpus:
     utterances: tuple[TaggedUtterance, ...]
-    role: str = "target"
 
     def __post_init__(self):
         object.__setattr__(self, "utterances", tuple(self.utterances))
-        if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -193,16 +188,16 @@ def spans_to_iob(tokens: Sequence[str], spans: Iterable[SlotSpan]) -> tuple[str,
 # ---------------------------------------------------------------------------
 # file format
 
-def read_corpus(path, role: str = "target") -> Corpus:
+def read_corpus(path) -> Corpus:
     """The corpus in the file at ``path``; ParseError if it is malformed
     or not UTF-8 text."""
     try:
-        return _read_corpus(path, role)
+        return _read_corpus(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_corpus(path, role: str) -> Corpus:
+def _read_corpus(path) -> Corpus:
     utterances: list[TaggedUtterance] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -240,7 +235,7 @@ def _read_corpus(path, role: str) -> Corpus:
             tags.append(tag)
     if tokens:
         flush(lineno)
-    return Corpus(tuple(utterances), role)
+    return Corpus(tuple(utterances))
 
 
 def format_corpus(corpus: Corpus) -> str:
@@ -307,7 +302,11 @@ class TokenVocabulary:
         return out
 
     def format(self) -> str:
-        """One ``id<TAB>token`` line per token, in id order."""
+        """One ``id<TAB>token`` line per token, in id order; CorpusError
+        for a token holding a line break, which ``read`` could not parse."""
+        for token in self._ids:
+            if "\n" in token or "\r" in token:
+                raise CorpusError(f"cannot write the vocabulary token {token!r}")
         return "".join(f"{idx}\t{token}\n" for token, idx in self._ids.items())
 
     @classmethod
@@ -364,7 +363,7 @@ def preprocess(
     utterances = tuple(
         TaggedUtterance(tuple(toks), u.tags) for toks, u in zip(final, corpus)
     )
-    return Corpus(utterances, corpus.role), vocab
+    return Corpus(utterances), vocab
 
 
 def subset_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
@@ -375,7 +374,7 @@ def subset_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
         raise ValueError(f"subset size must be >= 0, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) % 2**64, 0x5B5]))
     order = rng.permutation(len(corpus))[:n]
-    return Corpus(tuple(corpus.utterances[i] for i in order), corpus.role)
+    return Corpus(tuple(corpus.utterances[i] for i in order))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +390,7 @@ def relabel_collapse(corpus: Corpus, mapping: Mapping[str, str]) -> Corpus:
                 raise UnknownSlot(f"slot {slot!r} missing from collapse mapping")
             tags[start:end] = _span_tags(mapping[slot], end - start)
         out.append(TaggedUtterance(u.tokens, tuple(tags)))
-    return Corpus(tuple(out), corpus.role)
+    return Corpus(tuple(out))
 
 
 def perturb_test_set(
@@ -451,7 +450,7 @@ def perturb_test_set(
         tokens.extend(u.tokens[cursor:])
         tags.extend(["O"] * (len(u) - cursor))
         out.append(TaggedUtterance(tuple(tokens), tuple(tags)))
-    return Corpus(tuple(out), "test")
+    return Corpus(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +587,11 @@ def generate_synthetic(
     ontology: Ontology,
     n: int,
     seed: int,
-    role: str = "target",
+    role: str | None = None,
 ) -> Corpus:
     """Sample ``n`` utterances: uniform template, then uniform lexicon
-    values per placeholder.  Deterministic for a fixed seed."""
+    values per placeholder.  Deterministic for a fixed seed.  ``role`` is
+    ignored; it stays because ``perfbench/workloads.py`` passes it."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     templates = _compile_grammar(grammar, ontology)
@@ -610,7 +610,7 @@ def generate_synthetic(
                 tokens.extend(value)
                 tags.extend(tag_runs[len(value)])
         utterances.append(TaggedUtterance(tuple(tokens), tuple(tags)))
-    return Corpus(tuple(utterances), role)
+    return Corpus(tuple(utterances))
 
 
 # ---------------------------------------------------------------------------

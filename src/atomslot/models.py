@@ -750,6 +750,15 @@ def adjust_nn_arch(
     return out
 
 
+def source_step(kind: str, source_ontology: Ontology) -> tuple[str, int]:
+    """``(kind, dims_used)`` of the source model a ``*_TS`` preset of ``kind``
+    trains: AC over dimension 1 for ACD kinds, else ``kind`` over every
+    source dimension (none for JS, which has no dimension heads)."""
+    if kind in ACD_KINDS:
+        return AC, 1
+    return kind, source_ontology.depth if kind == AC else 0
+
+
 @dataclass
 class AdaptResult:
     preset: str
@@ -777,8 +786,8 @@ def adapt(
     to the target ontology, fine-tune on the target data.  ``*_T`` presets
     skip the source steps.  An empty target training set stops after the
     adjustment, returning the source-trained model.  ``source_model``
-    optionally replaces step 2 with an already-trained source model (it
-    must match what that step would have produced).
+    optionally replaces step 2 with an already-trained source model; its
+    kind and ``dims_used`` must be ``source_step``'s, or ModelError.
     """
     if preset not in PRESETS:
         raise ModelError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
@@ -790,19 +799,17 @@ def adapt(
     else:
         if source_ontology is None:
             raise ModelError(f"preset {preset} needs a source ontology")
-        stage1_kind = AC if kind in ACD_KINDS else kind
+        step = source_step(kind, source_ontology)
         if source_model is None:
             if source_train is None or source_valid is None:
                 raise ModelError(f"preset {preset} needs source corpora")
             source_model, logs["source"] = train(
-                stage1_kind, source_ontology, source_train, source_valid, config,
-                dims_used=1 if kind in ACD_KINDS else None,
-                rng_salt=_SALT_SOURCE,
+                step[0], source_ontology, source_train, source_valid, config,
+                dims_used=step[1], rng_salt=_SALT_SOURCE,
             )
-        elif source_model.kind != stage1_kind:
-            raise ModelError(
-                f"source model is {source_model.kind}, preset {preset} needs {stage1_kind}"
-            )
+        elif (source_model.kind, source_model.dims_used) != step:
+            raise ModelError(f"source model is {source_model.kind} over {source_model.dims_used}"
+                             f" dimension(s), preset {preset} needs {step[0]} over {step[1]}")
         adjusted = adjust_nn_arch(
             dataclasses.replace(source_model, kind=kind), source_ontology, target_ontology,
             config.seed, init_range=config.init_range,
@@ -870,17 +877,16 @@ def learning_curve(
     """Run ``run_experiment`` for each system, then each target subset
     size (None for the full set), yielding ``(system, size, AdaptResult)``.
 
-    Presets whose source steps train the same model share it: the first
-    run trains it and later runs receive it as ``source_model``.  ACD kinds
-    train AC over dimension 1; the other ``*_TS`` presets train their own
-    kind over every source dimension; ``*_T`` presets have no source step.
+    Presets whose source steps train the same model (``source_step``)
+    share it: the first run trains it and later runs receive it as
+    ``source_model``.  ``*_T`` presets have no source step.
     """
     source_models: dict[tuple, TaggerModel] = {}
     for system in systems:
         kind, uses_source = PRESETS.get(system, (None, False))
         key = None
         if uses_source and source_ontology is not None:
-            key = (AC, 1) if kind in ACD_KINDS else (kind, source_ontology.depth)
+            key = source_step(kind, source_ontology)
         for size in sizes:
             result = run_experiment(
                 system, source_ontology, target_ontology,

@@ -7,8 +7,10 @@ rest are quick.
 """
 
 import filecmp
+import functools
 import itertools
 import math
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -46,6 +48,7 @@ from atomslot.models import (
 )
 from atomslot.neural import ShapeSpec, TrainingConfig, gradient_check, init_params
 from atomslot.ontology import build_ontology, collapse_ontology
+from atomslot.workers import usable_cpus
 
 from conlleval_oracle import read_fixture, score_sentences
 
@@ -147,7 +150,7 @@ def test_scorer_parity_on_fixture(capsys):
     sentences = read_fixture(FIXTURE)
     oracle = score_sentences([(gold, pred) for _, gold, pred in sentences])
     reference = Corpus(
-        tuple(TaggedUtterance(tokens, gold) for tokens, gold, _ in sentences), "test"
+        tuple(TaggedUtterance(tokens, gold) for tokens, gold, _ in sentences)
     )
     report = evaluate(reference, [pred for _, _, pred in sentences])
     counts_ok = (
@@ -200,8 +203,14 @@ SIZES = (50, 100, 500)
 SYSTEMS = ("JS_T", "JS_TS", "AC_TS", "ACD_TS_1")
 
 
-@pytest.fixture(scope="module")
-def transfer_runs():
+# Per seed the fixture trains three independent chains; AC_TS and ACD_TS_1
+# share one source model, so they form one chain.  Longest chains first.
+CHAINS = (("AC_TS", "ACD_TS_1"), ("JS_TS",), ("JS_T",))
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.lru_cache(maxsize=None)
+def transfer_corpora():
     grammar, ontology = builtin_flight_grammar()
     source_ontology, mapping = collapse_ontology(ontology, 1)
     target_pool = generate_synthetic(grammar, ontology, 600, seed=11, role="target")
@@ -215,40 +224,79 @@ def transfer_runs():
     source_valid = relabel_collapse(
         generate_synthetic(grammar, ontology, 200, seed=15, role="validation"), mapping
     )
-    matched: dict[tuple[str, int], list[float]] = {}
-    unmatched: dict[str, list[float]] = {}
+    return (ontology, source_ontology, source_train, source_valid,
+            target_pool, target_valid, test)
+
+
+def transfer_chain(seed, chain):
+    """Train each system of ``chain`` at every size for one seed; returns
+    the test F1 per (system, size) and the unseen-value F1 per system."""
+    (ontology, source_ontology, source_train, source_valid,
+     target_pool, target_valid, test) = transfer_corpora()
+    config = TrainingConfig(
+        learning_rate=0.08, epochs=20, dropout=0.1,
+        emb_dim=32, hidden=32, seed=seed,
+    )
+    perturbed = perturb_test_set(
+        subset_corpus(target_pool, 100, seed), test, ontology, seed
+    )
+    matched: dict[tuple[str, int], float] = {}
+    unmatched: dict[str, float] = {}
+    cache: dict[tuple, TaggerModel] = {}
+    for system in chain:
+        kind, uses_source = PRESETS[system]
+        key = None
+        if uses_source:
+            stage1 = AC if kind in ACD_KINDS else kind
+            key = (stage1, 1 if kind in ACD_KINDS else source_ontology.depth)
+        for size in SIZES:
+            result = run_experiment(
+                system, source_ontology, ontology,
+                source_train, source_valid, target_pool, target_valid,
+                config, subset=size,
+                source_model=cache.get(key) if key is not None else None,
+            )
+            if key is not None and result.source_model is not None:
+                cache[key] = result.source_model
+            matched[(system, size)] = evaluate_model(result.model, test).f1
+            if size == 100:
+                unmatched[system] = evaluate_model(result.model, perturbed).f1
+    return matched, unmatched
+
+
+def run_chains(tasks):
+    """``transfer_chain`` of each task, in task order: in a spawn pool of
+    two processes, each with one BLAS thread, or in process on one CPU."""
+    processes = min(2, usable_cpus())
+    if processes < 2:
+        return [transfer_chain(*task) for task in tasks]
+    saved = {name: os.environ.get(name) for name in THREAD_VARS}
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(processes)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+    with pool:
+        return pool.starmap(transfer_chain, tasks, chunksize=1)
+
+
+@pytest.fixture(scope="module")
+def transfer_runs():
     started = time.monotonic()
-    for seed in SEEDS:
-        config = TrainingConfig(
-            learning_rate=0.08, epochs=20, dropout=0.1,
-            emb_dim=32, hidden=32, seed=seed,
-        )
-        perturbed = perturb_test_set(
-            subset_corpus(target_pool, 100, seed), test, ontology, seed
-        )
-        cache: dict[tuple, TaggerModel] = {}
-        for system in SYSTEMS:
-            kind, uses_source = PRESETS[system]
-            key = None
-            if uses_source:
-                stage1 = AC if kind in ACD_KINDS else kind
-                key = (stage1, 1 if kind in ACD_KINDS else source_ontology.depth)
-            for size in SIZES:
-                result = run_experiment(
-                    system, source_ontology, ontology,
-                    source_train, source_valid, target_pool, target_valid,
-                    config, subset=size,
-                    source_model=cache.get(key) if key is not None else None,
-                )
-                if key is not None and result.source_model is not None:
-                    cache[key] = result.source_model
-                matched.setdefault((system, size), []).append(
-                    evaluate_model(result.model, test).f1
-                )
-                if size == 100:
-                    unmatched.setdefault(system, []).append(
-                        evaluate_model(result.model, perturbed).f1
-                    )
+    tasks = [(seed, chain) for chain in CHAINS for seed in SEEDS]
+    by_seed = {seed: ({}, {}) for seed in SEEDS}
+    for (seed, _), (chain_matched, chain_unmatched) in zip(tasks, run_chains(tasks)):
+        by_seed[seed][0].update(chain_matched)
+        by_seed[seed][1].update(chain_unmatched)
+    matched = {
+        (system, size): [by_seed[seed][0][(system, size)] for seed in SEEDS]
+        for system in SYSTEMS for size in SIZES
+    }
+    unmatched = {system: [by_seed[seed][1][system] for seed in SEEDS] for system in SYSTEMS}
     return {
         "matched": matched,
         "unmatched": unmatched,
@@ -419,9 +467,9 @@ def derive_ontology_from_tags(corpora):
 def test_real_benchmark_alignment(capsys):
     from atomslot.corpus import read_corpus
 
-    train_raw = read_corpus(os.path.join(ATIS_DIR, "train.txt"), role="target")
-    valid_raw = read_corpus(os.path.join(ATIS_DIR, "valid.txt"), role="validation")
-    test_raw = read_corpus(os.path.join(ATIS_DIR, "test.txt"), role="test")
+    train_raw = read_corpus(os.path.join(ATIS_DIR, "train.txt"))
+    valid_raw = read_corpus(os.path.join(ATIS_DIR, "valid.txt"))
+    test_raw = read_corpus(os.path.join(ATIS_DIR, "test.txt"))
     ontology = derive_ontology_from_tags([train_raw, valid_raw, test_raw])
     source_ontology, mapping = collapse_ontology(ontology, 1)
     config = TrainingConfig(seed=0)

@@ -113,7 +113,7 @@ def setting():
     rng.shuffle(lengths)
     token_seqs = [tuple(rng.choice(words, size=n)) for n in lengths]
     corpus = Corpus(
-        tuple(TaggedUtterance(t, ("O",) * len(t)) for t in token_seqs), "test"
+        tuple(TaggedUtterance(t, ("O",) * len(t)) for t in token_seqs)
     )
     return ontology, source_ontology, vocab, corpus
 

@@ -1,9 +1,12 @@
 import filecmp
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomslot import cli, models
 from atomslot.cli import run_command
@@ -21,14 +24,9 @@ FAST = [
 def workspace(tmp_path_factory):
     """Synthetic corpora plus a collapsed source task, built through the CLI."""
     root = tmp_path_factory.mktemp("cli")
-    for name, n, seed, role in (
-        ("train", 30, 1, "target"),
-        ("valid", 10, 2, "validation"),
-        ("test", 10, 3, "test"),
-    ):
+    for name, n, seed in (("train", 30, 1), ("valid", 10, 2), ("test", 10, 3)):
         code = run_command([
-            "synth", "--n", str(n), "--seed", str(seed), "--role", role,
-            "--out", str(root / name),
+            "synth", "--n", str(n), "--seed", str(seed), "--out", str(root / name),
         ])
         assert code == 0
     ontology = root / "train" / "ontology.txt"
@@ -109,8 +107,8 @@ def test_collapse_outputs(workspace):
     )
     full = read_ontology(workspace["ontology"])
     assert len(mapping_lines) == len(full.branches)
-    relabeled = read_corpus(workspace["source_train"], role="source")
-    original = read_corpus(workspace["train"], role="target")
+    relabeled = read_corpus(workspace["source_train"])
+    original = read_corpus(workspace["train"])
     assert len(relabeled) == len(original)
     for a, b in zip(relabeled, original):
         assert a.tokens == b.tokens
@@ -123,8 +121,8 @@ def test_perturb_smoke(workspace, tmp_path):
         "--train", str(workspace["train"]), "--test", str(workspace["test"]),
         "--seed", "5", "--out", str(tmp_path / "p"),
     ]) == 0
-    perturbed = read_corpus(tmp_path / "p" / "test.txt", role="test")
-    original = read_corpus(workspace["test"], role="test")
+    perturbed = read_corpus(tmp_path / "p" / "test.txt")
+    original = read_corpus(workspace["test"])
     assert len(perturbed) == len(original)
     for a, b in zip(perturbed, original):
         assert [s.slot for s in a.spans] == [s.slot for s in b.spans]
@@ -187,8 +185,8 @@ def test_decode_writes_parseable_corpus(workspace, trained, tmp_path):
         "decode", "--model", str(trained / "model"),
         "--test", str(workspace["test"]), "--out", str(tmp_path / "d"),
     ]) == 0
-    decoded = read_corpus(tmp_path / "d" / "decoded.txt", role="test")
-    original = read_corpus(workspace["test"], role="test")
+    decoded = read_corpus(tmp_path / "d" / "decoded.txt")
+    original = read_corpus(workspace["test"])
     assert len(decoded) == len(original)
     for a, b in zip(decoded, original):
         assert a.tokens == b.tokens
@@ -218,10 +216,10 @@ def test_eval_pred_and_model_routes_agree(workspace, trained, tmp_path, capsys):
 
 
 def test_eval_pred_with_other_tokens_is_a_data_error(workspace, tmp_path, capsys):
-    reference = read_corpus(workspace["test"], role="test")
+    reference = read_corpus(workspace["test"])
     renamed = list(reference)
     renamed[3] = TaggedUtterance(("zzz",) * len(renamed[3]), renamed[3].tags)
-    write_corpus(Corpus(tuple(renamed), "test"), tmp_path / "pred.txt")
+    write_corpus(Corpus(tuple(renamed)), tmp_path / "pred.txt")
     assert run_command([
         "eval", "--test", str(workspace["test"]),
         "--pred", str(tmp_path / "pred.txt"), "--out", str(tmp_path / "e"),
@@ -575,3 +573,162 @@ def test_bad_training_flag_is_usage_error(workspace, tmp_path, capsys):
         assert code == 1, flags
         assert not (tmp_path / "x").exists(), flags
         assert capsys.readouterr().err.startswith("error: "), flags
+
+
+def test_synth_has_no_role_flag(tmp_path, capsys):
+    # a corpus carries no role; the flag that passes it says what it is for
+    assert run_command(["synth", "--role", "test", "--out", str(tmp_path / "o")]) == 1
+    assert "--role" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# every text input, damaged line by line
+
+TEXT_ONTOLOGY = "dims=2\nfrom.city\tcity\tfrom\nto.city\tcity\tto\nday\tday\tnull\n"
+TEXT_GRAMMAR = """\
+fly from $A to $B\t$A=from.city,$B=to.city
+leave on $D\t$D=day
+from $A on $D\t$A=from.city,$D=day
+lexicon\tcity\tboston
+lexicon\tcity\tnew york
+lexicon\tday\tmonday
+lexicon\tday\tfriday
+"""
+TINY_FLAGS = [
+    "--epochs", "1", "--lr", "0.1", "--dropout", "0", "--emb-dim", "2",
+    "--hidden", "2", "--concept-emb-dim", "2", "--seed", "0",
+]
+# each {name} is a text input, damaged in turn; {model} is a saved bundle
+TEXT_COMMANDS = {
+    "synth": ["synth", "--grammar", "{grammar}", "--ontology", "{ontology}", "--n", "3"],
+    "collapse": ["collapse", "--ontology", "{ontology}", "--keep-dims", "1",
+                 "--train", "{train}", "--valid", "{valid}", "--test", "{test}"],
+    "perturb": ["perturb", "--ontology", "{ontology}", "--train", "{train}",
+                "--test", "{test}"],
+    "train": ["train", "--kind", "AC", "--ontology", "{ontology}", "--train", "{train}",
+              "--valid", "{valid}", "--test", "{test}", *TINY_FLAGS],
+    "adapt": ["adapt", "--preset", "ACD_TS_1", "--ontology", "{ontology}",
+              "--source-ontology", "{source_ontology}", "--train", "{train}",
+              "--valid", "{valid}", "--source-train", "{source_train}",
+              "--source-valid", "{source_valid}", "--test", "{test}", *TINY_FLAGS],
+    "decode": ["decode", "--model", "{model}", "--test", "{test}"],
+    "eval --pred": ["eval", "--test", "{test}", "--pred", "{pred}"],
+    "eval --model": ["eval", "--test", "{test}", "--model", "{model}"],
+    "curve": ["curve", "--systems", "JS_T,ACD_TS_1", "--sizes", "3,all",
+              "--ontology", "{ontology}", "--source-ontology", "{source_ontology}",
+              "--train", "{train}", "--valid", "{valid}", "--source-train", "{source_train}",
+              "--source-valid", "{source_valid}", "--test", "{test}", *TINY_FLAGS],
+}
+TEXT_TARGETS = [
+    (command, arg[1:-1]) for command, argv in TEXT_COMMANDS.items()
+    for arg in argv if arg.startswith("{") and arg != "{model}"
+]
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory):
+    """Small, valid text inputs for every reader, plus a bundle to decode with."""
+    root = tmp_path_factory.mktemp("text")
+    (root / "grammar.txt").write_text(TEXT_GRAMMAR)
+    (root / "ontology.txt").write_text(TEXT_ONTOLOGY)
+    for name, n, seed in (("train", 8, 1), ("valid", 4, 2), ("test", 4, 3)):
+        assert run_command([
+            "synth", "--grammar", str(root / "grammar.txt"),
+            "--ontology", str(root / "ontology.txt"),
+            "--n", str(n), "--seed", str(seed), "--out", str(root / name),
+        ]) == 0
+    assert run_command([
+        "collapse", "--ontology", str(root / "ontology.txt"), "--keep-dims", "1",
+        "--train", str(root / "train" / "corpus.txt"),
+        "--valid", str(root / "valid" / "corpus.txt"), "--out", str(root / "source"),
+    ]) == 0
+    assert run_command([
+        "train", "--kind", "JS", "--ontology", str(root / "ontology.txt"),
+        "--train", str(root / "train" / "corpus.txt"),
+        "--valid", str(root / "valid" / "corpus.txt"), "--out", str(root / "js"),
+        *TINY_FLAGS,
+    ]) == 0
+    test = (root / "test" / "corpus.txt").read_text()
+    paths = {
+        "grammar": root / "grammar.txt",
+        "ontology": root / "ontology.txt",
+        "source_ontology": root / "source" / "source_ontology.txt",
+        "train": root / "train" / "corpus.txt",
+        "valid": root / "valid" / "corpus.txt",
+        "test": root / "test" / "corpus.txt",
+        "source_train": root / "source" / "train.txt",
+        "source_valid": root / "source" / "valid.txt",
+        "pred": root / "pred.txt",
+    }
+    paths["pred"].write_text(test.replace("B-to.city", "B-from.city"))
+    texts = {name: path.read_text() for name, path in paths.items()}
+    return {"model": str(root / "js" / "model"), **{k: str(p) for k, p in paths.items()}}, texts
+
+
+LINE_MUTATIONS = ("delete", "duplicate", "copy over", "add field", "drop field",
+                  "swap fields", "extend field", "tab to space", "dims line")
+FILE_MUTATIONS = ("crlf", "bom", "empty", "not utf-8")
+FIELDS = st.one_of(
+    st.sampled_from(["", "O", "B-x", "I-from.city", "B-", "0", "-1", "2", "99999999999",
+                     "null", "$A", "$A=day", "lexicon", "dims=2", " ", "\r", "é"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+MUTATION = st.one_of(
+    st.tuples(st.sampled_from(LINE_MUTATIONS), st.integers(0, 99), st.integers(0, 99), FIELDS),
+    st.tuples(st.sampled_from(FILE_MUTATIONS), st.just(0), st.just(0), st.just("")),
+)
+
+
+def damage(text: str, mutations) -> bytes:
+    """``text`` after each ``(mutation, line, other line, field)`` in turn."""
+    tail = b""
+    for mutation, i, j, field in mutations:
+        lines = text.split("\n")
+        i, j = i % len(lines), j % len(lines)
+        fields = lines[i].split("\t")
+        if mutation == "delete":
+            del lines[i]
+        elif mutation == "duplicate":
+            lines.insert(i, lines[i])
+        elif mutation == "copy over":
+            lines[j] = lines[i]
+        elif mutation == "add field":
+            lines[i] += "\t" + field
+        elif mutation == "drop field":
+            lines[i] = "\t".join(fields[:-1])
+        elif mutation == "swap fields":
+            lines[i] = "\t".join(fields[::-1])
+        elif mutation == "extend field":
+            lines[i] += field
+        elif mutation == "tab to space":
+            lines[i] = lines[i].replace("\t", " ", 1)
+        elif mutation == "dims line":
+            lines[i] = f"dims={field}"
+        text = "\n".join(lines)
+        if mutation == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif mutation == "bom":
+            text = "\ufeff" + text
+        elif mutation == "empty":
+            text = ""
+        elif mutation == "not utf-8":
+            tail = b"\xff\n"
+    return text.encode("utf-8") + tail
+
+
+@given(target=st.sampled_from(TEXT_TARGETS), mutations=st.lists(MUTATION, min_size=1, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_a_damaged_text_input_never_escapes_as_an_exception(text_inputs, target, mutations):
+    paths, texts = text_inputs
+    command, name = target
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged = Path(tmp) / f"{name}.txt"
+        damaged.write_bytes(damage(texts[name], mutations))
+        out = Path(tmp) / "out"
+        given_paths = {**paths, name: str(damaged)}
+        argv = [arg.format(**given_paths) for arg in TEXT_COMMANDS[command]]
+        code = run_command([*argv, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert not out.exists()

@@ -145,11 +145,10 @@ def test_corpus_file_round_trip(tmp_path):
             utt("fly to boston", "O O B-city"),
             utt("on monday please", "O B-day O"),
         ),
-        "target",
     )
     path = tmp_path / "c.txt"
     write_corpus(corpus, path)
-    again = read_corpus(path, role="target")
+    again = read_corpus(path)
     assert again == corpus
     # one token-tab-tag line per token, blank line between utterances
     assert path.read_text().split("\n")[3] == ""
@@ -171,13 +170,13 @@ def test_read_corpus_rejects_double_blank(tmp_path):
 
 
 def test_format_corpus_ends_with_newline():
-    corpus = Corpus((utt("a", "O"),), "target")
+    corpus = Corpus((utt("a", "O"),))
     assert format_corpus(corpus).endswith("O\n")
 
 
 @pytest.mark.parametrize("token", ["", "a\tb", "12\n", "a\rb"])
 def test_write_corpus_rejects_tokens_it_cannot_read_back(tmp_path, token):
-    corpus = Corpus((utt("a", "O"), TaggedUtterance(("fly", token), ("O", "O"))), "target")
+    corpus = Corpus((utt("a", "O"), TaggedUtterance(("fly", token), ("O", "O"))))
     path = tmp_path / "c.txt"
     with pytest.raises(CorpusError, match=f"utterance 2: .*{re.escape(repr(token))}"):
         write_corpus(corpus, path)
@@ -201,7 +200,6 @@ def test_preprocess_rewrites_digits_and_unks_singletons():
             utt("flight 1990 to boston", "O B-num O B-city"),
             utt("flight 2220 to denver", "O B-num O B-city"),
         ),
-        "target",
     )
     prepared, vocab = preprocess(corpus)
     # flight/to recur and survive; boston/denver are singletons
@@ -213,7 +211,7 @@ def test_preprocess_rewrites_digits_and_unks_singletons():
 
 
 def test_preprocess_keeps_tags():
-    corpus = Corpus((utt("fly 12", "O B-num"),), "target")
+    corpus = Corpus((utt("fly 12", "O B-num"),))
     prepared, _ = preprocess(corpus)
     assert prepared[0].tags == ("O", "B-num")
 
@@ -224,10 +222,9 @@ def test_preprocess_with_fixed_vocab_maps_oov():
             utt("fly to boston", "O O B-city"),
             utt("fly to boston", "O O B-city"),
         ),
-        "target",
     )
     _, vocab = preprocess(base)
-    other = Corpus((utt("fly to dallas", "O O B-city"),), "test")
+    other = Corpus((utt("fly to dallas", "O O B-city"),))
     prepared, vocab2 = preprocess(other, vocab)
     assert vocab2 is vocab
     assert prepared[0].tokens == ("fly", "to", UNK_TOKEN)
@@ -235,7 +232,7 @@ def test_preprocess_with_fixed_vocab_maps_oov():
 
 def test_preprocess_idempotent_once_vocab_fixed():
     corpus = Corpus(
-        (utt("fly 123 to boston boston", "O B-num O B-city I-city"),), "target"
+        (utt("fly 123 to boston boston", "O B-num O B-city I-city"),)
     )
     once, vocab = preprocess(corpus)
     twice, _ = preprocess(once, vocab)
@@ -243,7 +240,7 @@ def test_preprocess_idempotent_once_vocab_fixed():
 
 
 def test_vocab_roundtrip_and_encode():
-    corpus = Corpus((utt("a b a c", "O O O O"),), "target")
+    corpus = Corpus((utt("a b a c", "O O O O"),))
     vocab = TokenVocabulary.from_corpus(corpus)
     assert vocab.encode(("a", "zzz")).tolist() == [vocab.id_of("a"), 1]
     text = vocab.format()
@@ -257,7 +254,7 @@ def test_vocab_roundtrip_and_encode():
 
 def test_subset_is_deterministic_and_nested():
     utts = tuple(utt(f"w{i}", "O") for i in range(40))
-    corpus = Corpus(utts, "target")
+    corpus = Corpus(utts)
     small = subset_corpus(corpus, 10, seed=5)
     again = subset_corpus(corpus, 10, seed=5)
     big = subset_corpus(corpus, 20, seed=5)
@@ -287,7 +284,6 @@ def perturb_setup():
             utt("fly to miami", "O O B-to.city"),
             utt("leave on monday", "O O B-day"),
         ),
-        "target",
     )
     test = Corpus(
         (
@@ -295,7 +291,6 @@ def perturb_setup():
             utt("fly to denver", "O O B-to.city"),
             utt("leave on monday", "O O B-day"),
         ),
-        "test",
     )
     return ontology, train, test
 
@@ -374,7 +369,7 @@ def test_parse_grammar_and_generate():
     grammar = parse_grammar(GRAMMAR_OK)
     assert len(grammar.templates) == 2
     assert grammar.lexicons["city"] == (("boston",), ("new", "york"))
-    corpus = generate_synthetic(grammar, grammar_ontology(), 20, seed=4, role="target")
+    corpus = generate_synthetic(grammar, grammar_ontology(), 20, seed=4)
     assert len(corpus) == 20
     for u in corpus:
         for span in iob_to_spans(u.tokens, u.tags):
@@ -384,8 +379,8 @@ def test_parse_grammar_and_generate():
 def test_generate_is_deterministic():
     grammar = parse_grammar(GRAMMAR_OK)
     ont = grammar_ontology()
-    a = generate_synthetic(grammar, ont, 15, seed=8, role="target")
-    b = generate_synthetic(grammar, ont, 15, seed=8, role="target")
+    a = generate_synthetic(grammar, ont, 15, seed=8)
+    b = generate_synthetic(grammar, ont, 15, seed=8)
     assert a == b
 
 
@@ -412,13 +407,13 @@ def test_grammar_needs_templates():
 def test_generate_rejects_missing_lexicon():
     grammar = parse_grammar("leave on $D\t$D=day\n")
     with pytest.raises(ConfigError):
-        generate_synthetic(grammar, grammar_ontology(), 3, seed=0, role="target")
+        generate_synthetic(grammar, grammar_ontology(), 3, seed=0)
 
 
 def test_generate_rejects_unknown_slot():
     grammar = parse_grammar("leave on $D\t$D=nope\nlexicon\tx\ty\n")
     with pytest.raises(ConfigError):
-        generate_synthetic(grammar, grammar_ontology(), 3, seed=0, role="target")
+        generate_synthetic(grammar, grammar_ontology(), 3, seed=0)
 
 
 def test_builtin_grammar_covers_its_ontology():
@@ -427,7 +422,7 @@ def test_builtin_grammar_covers_its_ontology():
         slot for template in grammar.templates for _, slot in template.bindings
     }
     assert bound == set(ontology.branches)
-    corpus = generate_synthetic(grammar, ontology, 50, seed=0, role="target")
+    corpus = generate_synthetic(grammar, ontology, 50, seed=0)
     assert len(corpus) == 50
     bottoms = {branch[0] for branch in ontology.branches.values()}
     assert bottoms <= set(grammar.lexicons)
@@ -441,7 +436,7 @@ def test_generate_rejects_an_empty_lexicon_before_any_draw(lexicons, message):
     grammar = GrammarConfig((Template("leave on $D", (("$D", "day"),)),), lexicons)
     for n in (0, 5):
         with pytest.raises(ConfigError, match=message):
-            generate_synthetic(grammar, grammar_ontology(), n, seed=0, role="target")
+            generate_synthetic(grammar, grammar_ontology(), n, seed=0)
 
 
 def test_generate_rejects_an_unbound_placeholder_before_any_draw():
@@ -449,7 +444,7 @@ def test_generate_rejects_an_unbound_placeholder_before_any_draw():
         (Template("leave on $D at $T", (("$D", "day"),)),), {"day": (("monday",),)}
     )
     with pytest.raises(ConfigError, match=r"unbound placeholder \$T"):
-        generate_synthetic(grammar, grammar_ontology(), 0, seed=0, role="target")
+        generate_synthetic(grammar, grammar_ontology(), 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +497,7 @@ def reference_iob_to_spans(tokens, tags):
     return tuple(spans)
 
 
-def reference_generate_synthetic(grammar, ontology, n, seed, role):
+def reference_generate_synthetic(grammar, ontology, n, seed):
     rng = np.random.default_rng(seed)
     utterances = []
     for _ in range(n):
@@ -521,7 +516,7 @@ def reference_generate_synthetic(grammar, ontology, n, seed, role):
             tokens.extend(value)
             spans.append(SlotSpan(slot, start, len(tokens), value))
         utterances.append(TaggedUtterance(tuple(tokens), spans_to_iob(tokens, spans)))
-    return Corpus(tuple(utterances), role)
+    return Corpus(tuple(utterances))
 
 
 def reference_relabel_collapse(corpus, mapping):
@@ -533,7 +528,7 @@ def reference_relabel_collapse(corpus, mapping):
                 raise UnknownSlot(f"slot {span.slot!r} missing from collapse mapping")
             spans.append(replace(span, slot=mapping[span.slot]))
         out.append(TaggedUtterance(u.tokens, spans_to_iob(u.tokens, spans)))
-    return Corpus(tuple(out), corpus.role)
+    return Corpus(tuple(out))
 
 
 def reference_perturb_test_set(train, test, ontology, seed):
@@ -571,11 +566,10 @@ def reference_perturb_test_set(train, test, ontology, seed):
             cursor = span.end
         tokens.extend(u.tokens[cursor:])
         out.append(TaggedUtterance(tuple(tokens), spans_to_iob(tokens, spans)))
-    return Corpus(tuple(out), "test")
+    return Corpus(tuple(out))
 
 
 def assert_same_corpus(fast, slow):
-    assert fast.role == slow.role
     assert [u.tokens for u in fast] == [u.tokens for u in slow]
     assert [u.tags for u in fast] == [u.tags for u in slow]
 
@@ -598,9 +592,9 @@ def test_generate_matches_the_span_based_reference(seed):
         builtin_flight_grammar(),
         (parse_grammar(MULTI_TOKEN_GRAMMAR), grammar_ontology()),
     ):
-        for n, role in ((0, "target"), (1, "test"), (120, "source")):
-            fast = generate_synthetic(grammar, ontology, n, seed, role)
-            slow = reference_generate_synthetic(grammar, ontology, n, seed, role)
+        for n in (0, 1, 120):
+            fast = generate_synthetic(grammar, ontology, n, seed)
+            slow = reference_generate_synthetic(grammar, ontology, n, seed)
             assert_same_corpus(fast, slow)
 
 
@@ -628,7 +622,7 @@ def test_collapse_and_perturb_match_the_span_based_reference(seed):
     ("a b c", "O O O"),
 ])
 def test_collapse_of_malformed_iob_matches_the_reference(tokens, tags):
-    corpus = Corpus((utt(tokens, tags),), "source")
+    corpus = Corpus((utt(tokens, tags),))
     mapping = {"x": "z", "y": "z"}
     assert_same_corpus(
         relabel_collapse(corpus, mapping), reference_relabel_collapse(corpus, mapping)
@@ -636,7 +630,7 @@ def test_collapse_of_malformed_iob_matches_the_reference(tokens, tags):
 
 
 def test_collapse_rejects_a_slot_missing_from_the_mapping():
-    corpus = Corpus((utt("a b", "B-x B-y"),), "source")
+    corpus = Corpus((utt("a b", "B-x B-y"),))
     with pytest.raises(UnknownSlot, match="'y'"):
         relabel_collapse(corpus, {"x": "z"})
 
@@ -652,12 +646,12 @@ def random_ontology():
     )
 
 
-def corpus_of(cases, offset, role):
+def corpus_of(cases, offset):
     utterances = []
     for k, (n, spans) in enumerate(cases):
         tokens = tuple(f"w{(i + k * offset) % 5}" for i in range(n))
         utterances.append(TaggedUtterance(tokens, spans_to_iob(tokens, spans)))
-    return Corpus(tuple(utterances), role)
+    return Corpus(tuple(utterances))
 
 
 @given(st.lists(span_sets(), min_size=1, max_size=6), st.lists(span_sets(), max_size=6),
@@ -665,8 +659,8 @@ def corpus_of(cases, offset, role):
 @settings(max_examples=100, deadline=None)
 def test_span_set_corpora_match_the_reference(train_cases, test_cases, seed):
     ontology = random_ontology()
-    train = corpus_of(train_cases, 3, "target")
-    test = corpus_of(test_cases, 2, "test")
+    train = corpus_of(train_cases, 3)
+    test = corpus_of(test_cases, 2)
     mapping = {"city": "place", "state": "place", "time.at": "time"}
     assert_same_corpus(
         relabel_collapse(train, mapping), reference_relabel_collapse(train, mapping)
@@ -687,7 +681,6 @@ def test_collapse_of_random_iob_matches_the_reference(tag_lists):
     corpus = Corpus(
         tuple(TaggedUtterance(tuple(f"w{i}" for i in range(len(tags))), tuple(tags))
               for tags in tag_lists),
-        "source",
     )
     mapping = {"city": "place", "state": "place", "time.at": "time"}
     assert_same_corpus(

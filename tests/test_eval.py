@@ -70,7 +70,6 @@ def worked_example():
             utt("fly to new york now", "O O B-city I-city O"),
             utt("leave on monday", "O O B-day"),
         ),
-        "test",
     )
     predicted = [
         ("O", "O", "B-city", "I-city", "B-day"),  # city right, day spurious
@@ -96,7 +95,7 @@ def test_evaluate_worked_example():
 
 
 def test_boundary_error_counts_as_wrong():
-    reference = Corpus((utt("a b c", "O B-x I-x"),), "test")
+    reference = Corpus((utt("a b c", "O B-x I-x"),))
     report = evaluate(reference, [("B-x", "I-x", "I-x")])
     assert report.overall.correct == 0
     assert report.overall.predicted == 1
@@ -104,7 +103,7 @@ def test_boundary_error_counts_as_wrong():
 
 
 def test_type_error_with_right_boundaries_counts_as_wrong():
-    reference = Corpus((utt("a b", "B-x I-x"),), "test")
+    reference = Corpus((utt("a b", "B-x I-x"),))
     report = evaluate(reference, [("B-y", "I-y")])
     assert report.overall.correct == 0
 
@@ -140,7 +139,6 @@ def test_fixture_parity_with_reference_scorer():
         tuple(
             TaggedUtterance(tokens, gold) for tokens, gold, _ in sentences
         ),
-        "test",
     )
     predicted = [pred for _, _, pred in sentences]
     report = evaluate(reference, predicted)
@@ -181,7 +179,7 @@ def test_random_tag_pairs_agree_with_reference_scorer(gold_sets):
         cases.append((tokens, tags, pred))
     oracle = score_sentences([(gold, pred) for _, gold, pred in cases])
     reference = Corpus(
-        tuple(TaggedUtterance(tokens, gold) for tokens, gold, _ in cases), "test"
+        tuple(TaggedUtterance(tokens, gold) for tokens, gold, _ in cases)
     )
     report = evaluate(reference, [pred for _, _, pred in cases])
     assert (

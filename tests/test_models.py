@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -11,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomslot import models, neural
-from atomslot.corpus import Corpus, TaggedUtterance, preprocess, relabel_collapse
+from atomslot.corpus import (
+    Corpus,
+    CorpusError,
+    TaggedUtterance,
+    preprocess,
+    relabel_collapse,
+)
 from atomslot.models import (
     AC,
     ACD1,
@@ -65,7 +72,7 @@ def target_ontology():
     )
 
 
-def target_corpus(role="target"):
+def target_corpus():
     return Corpus(
         (
             utt("fly from boston to denver", "O O B-from.city O B-to.city"),
@@ -74,14 +81,13 @@ def target_corpus(role="target"):
             utt("from denver to dallas", "O B-from.city O B-to.city"),
             utt("fly from dallas on monday", "O O B-from.city O B-day"),
         ),
-        role,
     )
 
 
 def source_setup():
     ontology = target_ontology()
     source_ontology, mapping = collapse_ontology(ontology, 1)
-    source = relabel_collapse(target_corpus("source"), mapping)
+    source = relabel_collapse(target_corpus(), mapping)
     return ontology, source_ontology, source
 
 
@@ -245,7 +251,7 @@ def test_gather_treats_null_concept_as_outside():
 
 def prepared_target():
     corpus, vocab = preprocess(target_corpus())
-    valid, _ = preprocess(target_corpus("validation"), vocab)
+    valid, _ = preprocess(target_corpus(), vocab)
     return corpus, valid
 
 
@@ -290,7 +296,7 @@ def test_grid_tie_chooses_earlier_candidate():
 def test_train_rejects_empty_corpora_and_acd_kinds():
     ontology = target_ontology()
     corpus, valid = prepared_target()
-    empty = Corpus((), "target")
+    empty = Corpus(())
     with pytest.raises(EmptyCorpus):
         train(JS, ontology, empty, valid, TINY)
     with pytest.raises(EmptyCorpus):
@@ -301,7 +307,7 @@ def test_train_rejects_empty_corpora_and_acd_kinds():
 
 def test_train_rejects_tags_outside_ontology():
     ontology = build_ontology(1, (("day", ("day",)),))
-    corpus = Corpus((utt("leave monday", "O B-nope"),), "target")
+    corpus = Corpus((utt("leave monday", "O B-nope"),))
     with pytest.raises(LabelNotInOntology):
         train(JS, ontology, corpus, corpus, TINY)
 
@@ -318,7 +324,7 @@ def test_gold_branches_reads_prefixes_and_branches():
 def test_train_ac_and_acd_reject_tags_outside_ontology():
     ontology = target_ontology()
     corpus, valid = prepared_target()
-    bad = Corpus(corpus.utterances + (utt("fly home", "O B-home.city"),), "target")
+    bad = Corpus(corpus.utterances + (utt("fly home", "O B-home.city"),))
     with pytest.raises(LabelNotInOntology):
         train(AC, ontology, bad, valid, TINY)
     _, source_ontology, source = source_setup()
@@ -382,7 +388,7 @@ def test_training_fails_only_when_every_candidate_diverges(monkeypatch):
 
 def test_learning_curve_trains_each_source_step_once(monkeypatch):
     ontology, source_ontology, source = source_setup()
-    corpora = (source, source, target_corpus(), target_corpus("validation"))
+    corpora = (source, source, target_corpus(), target_corpus())
     systems, sizes = ("JS_T", "JS_TS", "AC_TS", "ACD_TS_1"), (3, None)
     source_models = []
     real_train = models.train
@@ -424,7 +430,7 @@ def test_evaluate_model_preprocesses_with_model_vocab():
     ontology = target_ontology()
     corpus, valid = prepared_target()
     model, _ = train(JS, ontology, corpus, valid, TINY)
-    report = evaluate_model(model, target_corpus("test"))
+    report = evaluate_model(model, target_corpus())
     assert 0.0 <= report.f1 <= 100.0
 
 
@@ -563,13 +569,13 @@ def adapt_corpora():
     ontology, source_ontology, _ = source_setup()
     raw_target = target_corpus()
     source_train = relabel_collapse(
-        target_corpus("source"), collapse_ontology(ontology, 1)[1]
+        target_corpus(), collapse_ontology(ontology, 1)[1]
     )
     src_prep, vocab = preprocess(source_train)
     tgt_prep, _ = preprocess(raw_target, vocab)
-    valid, _ = preprocess(target_corpus("validation"), vocab)
+    valid, _ = preprocess(target_corpus(), vocab)
     src_valid, _ = preprocess(relabel_collapse(
-        target_corpus("validation"), collapse_ontology(ontology, 1)[1]
+        target_corpus(), collapse_ontology(ontology, 1)[1]
     ), vocab)
     return ontology, source_ontology, src_prep, src_valid, tgt_prep, valid
 
@@ -584,7 +590,7 @@ def test_adapt_presets_produce_the_right_kinds():
         assert result.preset == preset
         assert ("source" in result.logs) == uses_source
         assert "target" in result.logs
-        report = evaluate_model(result.model, target_corpus("test"))
+        report = evaluate_model(result.model, target_corpus())
         assert 0.0 <= report.f1 <= 100.0
 
 
@@ -625,9 +631,29 @@ def test_adapt_rejects_mismatched_source_model():
         )
 
 
+def test_adapt_rejects_a_source_model_with_other_dimension_heads(monkeypatch):
+    # AC_TS over a two-dimension source trains AC heads for both
+    # dimensions; ACD_TS_1 needs AC over dimension 1 only
+    ontology = target_ontology()
+    corpus, valid = target_corpus(), target_corpus()
+    ac = run_experiment("AC_TS", ontology, ontology, corpus, valid, corpus, valid, TINY)
+    assert (ac.source_model.kind, ac.source_model.dims_used) == (AC, 2)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the source model")
+
+    monkeypatch.setattr(models, "train", no_training)
+    monkeypatch.setattr(models, "train_acd", no_training)
+    with pytest.raises(ModelError, match="AC over 2 dimension.*needs AC over 1"):
+        run_experiment(
+            "ACD_TS_1", ontology, ontology, corpus, valid, corpus, valid, TINY,
+            source_model=ac.source_model,
+        )
+
+
 def test_adapt_empty_target_returns_adjusted_source_model():
     ontology, source_ontology, src, src_valid, _, valid = adapt_corpora()
-    empty = Corpus((), "target")
+    empty = Corpus(())
     result = adapt(
         "JS_TS", source_ontology, ontology, src, src_valid, empty, valid, TINY
     )
@@ -676,11 +702,11 @@ def test_train_acd_requires_stage2():
 def test_run_experiment_vocab_comes_from_source_for_ts():
     ontology, source_ontology, _ = source_setup()
     mapping = collapse_ontology(ontology, 1)[1]
-    source_train = relabel_collapse(target_corpus("source"), mapping)
-    source_valid = relabel_collapse(target_corpus("validation"), mapping)
+    source_train = relabel_collapse(target_corpus(), mapping)
+    source_valid = relabel_collapse(target_corpus(), mapping)
     result = run_experiment(
         "JS_TS", source_ontology, ontology, source_train, source_valid,
-        target_corpus(), target_corpus("validation"), TINY,
+        target_corpus(), target_corpus(), TINY,
     )
     expected = preprocess(source_train)[1]
     assert result.model.vocab == expected
@@ -692,7 +718,7 @@ def test_run_experiment_vocab_comes_from_target_subset_for_t():
     ontology = target_ontology()
     result = run_experiment(
         "JS_T", None, ontology, None, None,
-        target_corpus(), target_corpus("validation"), TINY, subset=3,
+        target_corpus(), target_corpus(), TINY, subset=3,
     )
     subset = subset_corpus(target_corpus(), 3, TINY.seed)
     expected = preprocess(subset)[1]
@@ -709,7 +735,7 @@ def test_save_load_round_trip_preserves_decoding(tmp_path):
     assert again.kind == result.model.kind
     assert again.dims_used == result.model.dims_used
     assert again.ontology == result.model.ontology
-    for u in target_corpus("test"):
+    for u in target_corpus():
         assert decode(again, u.tokens) == decode(result.model, u.tokens)
 
 
@@ -729,6 +755,15 @@ def _saved_js_bundle(tmp_path):
     model, _ = train(JS, ontology, corpus, valid, TINY)
     save_model(model, tmp_path / "bundle", TINY)
     return tmp_path / "bundle"
+
+
+@pytest.mark.parametrize("token", ["a\nb", "a\rb"])
+def test_save_model_refuses_a_vocabulary_token_with_a_line_break(tmp_path, token):
+    corpus = Corpus((utt("fly to boston", "O O B-to.city"), TaggedUtterance((token,), ("O",))))
+    model = tagger(JS, target_ontology(), corpus)
+    with pytest.raises(CorpusError, match=re.escape(repr(token))):
+        save_model(model, tmp_path / "bundle", TINY)
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_load_model_rejects_a_shortened_vocabulary(tmp_path):
@@ -982,7 +1017,7 @@ def assert_same_model(again, model):
         if saved is not None:
             assert loaded.shape == saved.shape
             assert np.array_equal(loaded.buffer, saved.buffer)
-    probe = target_corpus("test")
+    probe = target_corpus()
     assert predict_corpus(again, probe) == predict_corpus(model, probe)
 
 

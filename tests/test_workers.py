@@ -196,8 +196,8 @@ from atomslot.neural import TrainingConfig
 print("top level ran")
 workers.usable_cpus = lambda: 2
 grammar, ontology = builtin_flight_grammar()
-corpus, vocab = preprocess(generate_synthetic(grammar, ontology, 12, seed=1, role="target"))
-valid, _ = preprocess(generate_synthetic(grammar, ontology, 6, seed=2, role="validation"), vocab)
+corpus, vocab = preprocess(generate_synthetic(grammar, ontology, 12, seed=1))
+valid, _ = preprocess(generate_synthetic(grammar, ontology, 6, seed=2), vocab)
 config = TrainingConfig(epochs=1, emb_dim=4, hidden=4, lr_grid=(0.02, 0.04, 0.08))
 _, log = train(JS, ontology, corpus, valid, config)
 print(format_train_log(log))
