@@ -1,9 +1,12 @@
 """Batch command-line surface for the experiment pipeline.
 
-Every subcommand is a one-shot batch job: read inputs, write results under
-``--out``, and persist a ``manifest.json`` holding the full flag set and
-seed so a rerun reproduces the result files byte for byte.  Exit codes:
-0 success, 1 usage error, 2 data error.
+Every subcommand is a one-shot batch job in four phases: check its flags
+(a usage error, exit 1), read every input (a data error, exit 2), compute,
+and only then write.  ``_write_outputs`` writes everything under ``--out``,
+including a ``manifest.json`` holding the full flag set and seed so a
+rerun reproduces the result files byte for byte.  A run that stops on a
+usage or data error has created nothing; a ``gradcheck`` FAIL still
+writes its report.  Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ from .corpus import (
     CorpusError,
     TaggedUtterance,
     builtin_flight_grammar,
+    format_corpus,
     generate_synthetic,
     perturb_test_set,
     preprocess,
     read_corpus,
     read_grammar,
     relabel_collapse,
-    write_corpus,
 )
 from .evaluation import EvalError, evaluate
 from .models import PRESETS, ModelError
@@ -33,8 +36,8 @@ from .neural import NeuralError, ShapeSpec, TrainingConfig
 from .ontology import (
     OntologyError,
     collapse_ontology,
+    format_ontology,
     read_ontology,
-    write_ontology,
 )
 
 BUILTIN = "builtin"
@@ -128,29 +131,28 @@ def _training_config(args) -> TrainingConfig:
         raise UsageError(str(exc)) from None
 
 
-def _write_manifest(args, out_dir: str) -> None:
-    skip = {"func"}
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump({"command": args.command, "config": config}, fh,
-                  sort_keys=True, indent=2)
-        fh.write("\n")
+def _write_outputs(args, files: dict[str, str], model=None, config=None) -> None:
+    """Write everything a run leaves under ``--out``: the bundle of
+    ``model`` (trained with ``config``) as ``model/``, ``manifest.json``
+    with every flag, then each of ``files`` (file name: text).  Nothing
+    is written when the command was given no ``--out``."""
+    if args.out is None:
+        return
+    if model is not None:
+        models.save_model(model, os.path.join(args.out, "model"), config)
+    flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    manifest = json.dumps({"command": args.command, "config": flags}, sort_keys=True, indent=2)
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in {"manifest.json": manifest + "\n", **files}.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
-def _write_eval(report, out_dir: str, name: str = "eval") -> None:
-    with open(os.path.join(out_dir, f"{name}.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.text_report())
-        fh.write("\n")
-    with open(os.path.join(out_dir, f"{name}.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report.machine_lines()))
-        fh.write("\n")
-
-
-def _write_log(log, out_dir: str, name: str) -> None:
-    with open(os.path.join(out_dir, f"{name}.txt"), "w", encoding="utf-8") as fh:
-        fh.write(models.format_train_log(log))
-        fh.write("\n")
+def _eval_files(report) -> dict[str, str]:
+    return {
+        "eval.txt": report.text_report() + "\n",
+        "eval.tsv": "\n".join(report.machine_lines()) + "\n",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -159,70 +161,68 @@ def _write_log(log, out_dir: str, name: str) -> None:
 def _cmd_synth(args) -> int:
     grammar, ontology = _load_grammar(args)
     corpus = generate_synthetic(grammar, ontology, args.n, args.seed)
-    _write_manifest(args, args.out)
-    write_corpus(corpus, os.path.join(args.out, "corpus.txt"))
-    write_ontology(ontology, os.path.join(args.out, "ontology.txt"))
+    _write_outputs(args, {
+        "corpus.txt": format_corpus(corpus),
+        "ontology.txt": format_ontology(ontology),
+    })
     print(f"wrote {len(corpus)} utterances to {args.out}/corpus.txt")
     return 0
 
 
 def _cmd_collapse(args) -> int:
     ontology = _load_ontology(args.ontology)
+    flags = ("train", "valid", "test")
+    corpora = dict(zip(flags, _read_corpora(args, *flags)))
     collapsed, mapping = collapse_ontology(ontology, args.keep_dims)
-    _write_manifest(args, args.out)
-    write_ontology(collapsed, os.path.join(args.out, "source_ontology.txt"))
-    with open(os.path.join(args.out, "mapping.tsv"), "w", encoding="utf-8") as fh:
-        for original in sorted(mapping):
-            fh.write(f"{original}\t{mapping[original]}\n")
-    for flag in ("train", "valid", "test"):
-        path = getattr(args, flag)
-        if path is not None:
-            corpus = relabel_collapse(read_corpus(path), mapping)
-            write_corpus(corpus, os.path.join(args.out, f"{flag}.txt"))
+    files = {
+        "source_ontology.txt": format_ontology(collapsed),
+        "mapping.tsv": "".join(f"{slot}\t{mapping[slot]}\n" for slot in sorted(mapping)),
+    }
+    for flag, corpus in corpora.items():
+        if corpus is not None:
+            files[f"{flag}.txt"] = format_corpus(relabel_collapse(corpus, mapping))
+    _write_outputs(args, files)
     print(f"collapsed to {args.keep_dims} dimension(s): {len(collapsed)} slots")
     return 0
 
 
 def _cmd_perturb(args) -> int:
     ontology = _load_ontology(args.ontology)
-    train = read_corpus(args.train)
-    test = read_corpus(args.test)
+    train, test = _read_corpora(args, "train", "test")
     perturbed = perturb_test_set(train, test, ontology, args.seed)
-    _write_manifest(args, args.out)
-    write_corpus(perturbed, os.path.join(args.out, "test.txt"))
+    _write_outputs(args, {"test.txt": format_corpus(perturbed)})
     print(f"wrote perturbed test set ({len(perturbed)} utterances)")
     return 0
 
 
-def _finish_run(args, model, config, logs, summary: str | None) -> int:
-    """Write the manifest, the model bundle and one file per training log,
-    print ``summary``, then score on ``--test`` when given."""
-    _write_manifest(args, args.out)
-    models.save_model(model, os.path.join(args.out, "model"), config)
-    for name, log in logs.items():
-        _write_log(log, args.out, name)
+def _finish_run(args, model, config, logs, test, summary: str | None) -> int:
+    """Score ``model`` on ``test`` when given, write the bundle, one file
+    per training log and the test report, then print ``summary`` and the
+    test F1."""
+    files = {f"{name}.txt": models.format_train_log(log) + "\n" for name, log in logs.items()}
+    report = None if test is None else models.evaluate_model(model, test)
+    if report is not None:
+        files.update(_eval_files(report))
+    _write_outputs(args, files, model, config)
     if summary is not None:
         print(summary)
-    if args.test is not None:
-        report = models.evaluate_model(model, read_corpus(args.test))
-        _write_eval(report, args.out)
+    if report is not None:
         print(f"test F1 {report.f1:.2f}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    ontology = _load_ontology(args.ontology)
     config = _training_config(args)
+    ontology = _load_ontology(args.ontology)
+    train, valid, test = _read_corpora(args, "train", "valid", "test")
     # training from scratch is the preset that skips the source steps
     result = models.run_experiment(
-        f"{args.kind}_T", None, ontology, None, None,
-        read_corpus(args.train),
-        read_corpus(args.valid),
+        f"{args.kind}_T", None, ontology, None, None, train, valid,
         config, subset=args.subset,
     )
     best = result.logs["target"].best
     return _finish_run(
-        args, result.model, config, {"train_log": result.logs["target"]},
+        args, result.model, config, {"train_log": result.logs["target"]}, test,
         None if best.best_f1 is None
         else f"best lr {best.learning_rate:g}, valid F1 {best.best_f1:.2f}",
     )
@@ -237,33 +237,34 @@ def _check_source_flags(args, preset: str) -> None:
         raise UsageError(f"{preset} needs {', '.join(missing)}")
 
 
-def _read_adapt_corpora(args):
-    target_train = read_corpus(args.train)
-    target_valid = read_corpus(args.valid)
-    source_train = source_valid = None
-    if args.source_train is not None:
-        source_train = read_corpus(args.source_train)
-    if args.source_valid is not None:
-        source_valid = read_corpus(args.source_valid)
-    return source_train, source_valid, target_train, target_valid
+def _read_corpora(args, *flags) -> tuple:
+    """The corpus each of ``flags`` names, read in that order; None for a
+    flag that was not given."""
+    paths = [getattr(args, flag) for flag in flags]
+    return tuple(None if path is None else read_corpus(path) for path in paths)
 
 
-def _cmd_adapt(args) -> int:
-    _check_source_flags(args, args.preset)
+def _read_transfer_inputs(args):
+    """The ontologies and corpora of ``adapt`` and ``curve`` in the order
+    ``run_experiment`` takes them, and the ``--test`` corpus or None."""
     target_ontology = _load_ontology(args.ontology)
     source_ontology = (
         _load_ontology(args.source_ontology) if args.source_ontology else None
     )
-    config = _training_config(args)
-    source_train, source_valid, target_train, target_valid = _read_adapt_corpora(args)
-    result = models.run_experiment(
-        args.preset, source_ontology, target_ontology,
-        source_train, source_valid, target_train, target_valid,
-        config, subset=args.subset,
+    train, valid, source_train, source_valid, test = _read_corpora(
+        args, "train", "valid", "source_train", "source_valid", "test"
     )
+    return (source_ontology, target_ontology, source_train, source_valid, train, valid), test
+
+
+def _cmd_adapt(args) -> int:
+    _check_source_flags(args, args.preset)
+    config = _training_config(args)
+    inputs, test = _read_transfer_inputs(args)
+    result = models.run_experiment(args.preset, *inputs, config, subset=args.subset)
     return _finish_run(
         args, result.model, config,
-        {f"{phase}_log": log for phase, log in result.logs.items()},
+        {f"{phase}_log": log for phase, log in result.logs.items()}, test,
         f"preset {args.preset} done; phases: {', '.join(result.logs) or 'none'}",
     )
 
@@ -276,8 +277,7 @@ def _cmd_decode(args) -> int:
     decoded = Corpus(
         tuple(TaggedUtterance(u.tokens, tags) for u, tags in zip(corpus, predictions))
     )
-    _write_manifest(args, args.out)
-    write_corpus(decoded, os.path.join(args.out, "decoded.txt"))
+    _write_outputs(args, {"decoded.txt": format_corpus(decoded)})
     print(f"decoded {len(decoded)} utterances")
     return 0
 
@@ -297,9 +297,7 @@ def _cmd_eval(args) -> int:
     else:
         report = models.evaluate_model(models.load_model(args.model), reference)
     print(report.text_report())
-    if args.out is not None:
-        _write_manifest(args, args.out)
-        _write_eval(report, args.out)
+    _write_outputs(args, _eval_files(report))
     return 0
 
 
@@ -326,15 +324,13 @@ def _cmd_gradcheck(args) -> int:
     report = neural.gradient_check(params, batch)
     print(f"max relative error {report.max_relative_error:.3e}")
     print("PASS" if report.passed else "FAIL")
-    if args.out is not None:
-        _write_manifest(args, args.out)
-        lines = [
-            f"{block}\t{err:.6e}" for block, err in sorted(report.block_errors.items())
-        ]
-        lines.append(f"max\t{report.max_relative_error:.6e}")
-        lines.append("PASS" if report.passed else "FAIL")
-        with open(os.path.join(args.out, "gradcheck.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    lines = [
+        f"{block}\t{err:.6e}" for block, err in sorted(report.block_errors.items())
+    ]
+    lines.append(f"max\t{report.max_relative_error:.6e}")
+    lines.append("PASS" if report.passed else "FAIL")
+    # a FAIL is a finding, so its report is written too
+    _write_outputs(args, {"gradcheck.txt": "\n".join(lines) + "\n"})
     return 0 if report.passed else 2
 
 
@@ -345,26 +341,16 @@ def _cmd_curve(args) -> int:
             raise UsageError(f"unknown system {system!r}; choose from {sorted(PRESETS)}")
         _check_source_flags(args, system)
     sizes = _parse_sizes(args.sizes)
-    target_ontology = _load_ontology(args.ontology)
-    source_ontology = (
-        _load_ontology(args.source_ontology) if args.source_ontology else None
-    )
     config = _training_config(args)
-    source_train, source_valid, target_train, target_valid = _read_adapt_corpora(args)
-    test = read_corpus(args.test)
+    inputs, test = _read_transfer_inputs(args)
     rows = ["system\tsize\tf1"]
-    for system, size, result in models.learning_curve(
-        systems, sizes, source_ontology, target_ontology,
-        source_train, source_valid, target_train, target_valid, config,
-    ):
+    for system, size, result in models.learning_curve(systems, sizes, *inputs, config):
         report = models.evaluate_model(result.model, test)
         label = "all" if size is None else str(size)
         rows.append(f"{system}\t{label}\t{report.f1:.2f}")
     table = "\n".join(rows)
     print(table)
-    _write_manifest(args, args.out)
-    with open(os.path.join(args.out, "curve.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(table + "\n")
+    _write_outputs(args, {"curve.tsv": table + "\n"})
     return 0
 
 
@@ -403,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collapse",
                        help="derive the source ontology and relabeled corpora")
     p.add_argument("--ontology", required=True)
-    p.add_argument("--keep-dims", type=int, required=True)
+    p.add_argument("--keep-dims", type=_non_negative_int, required=True)
     p.add_argument("--train")
     p.add_argument("--valid")
     p.add_argument("--test")

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -905,44 +906,49 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _params_bytes(params: ModelParams) -> bytes:
-    buffer = io.BytesIO()
-    neural.save_params(params, buffer)
-    return buffer.getvalue()
+def _sha256(chunks) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def save_model(model: TaggerModel, directory, config: TrainingConfig | None = None) -> None:
     """Write a self-contained bundle: manifest, ontology, vocabularies, each
     stage's parameter buffer as ``.npy`` and every stage's ``ShapeSpec`` in
-    ``shapes.json``.  Each file is serialized once, and the manifest,
-    written last, records the SHA-256 of those bytes for every file it
-    lists."""
+    ``shapes.json``.  Each file is serialized once, a parameter buffer not
+    even copied, and the manifest, written last, records the SHA-256 of
+    those bytes for every file it lists.  A part that cannot be serialized
+    raises before anything is created."""
     stages = {"stage1": model.stage1}
     if model.stage2 is not None:
         stages["stage2"] = model.stage2
-    # name in the manifest: (file name, content)
+    # name in the manifest: (file name, content as a list of byte chunks)
     parts = {
-        "ontology": ("ontology.txt", format_ontology(model.ontology).encode("utf-8")),
-        "vocab": ("vocab.txt", model.vocab.format().encode("utf-8")),
-        "shapes": ("shapes.json",
-                   _json_bytes({name: params.shape.to_json() for name, params in stages.items()})),
+        "ontology": ("ontology.txt", [format_ontology(model.ontology).encode("utf-8")]),
+        "vocab": ("vocab.txt", [model.vocab.format().encode("utf-8")]),
+        "shapes": ("shapes.json", [_json_bytes(
+            {name: params.shape.to_json() for name, params in stages.items()})]),
     }
-    parts.update((name, (f"{name}.npy", _params_bytes(params))) for name, params in stages.items())
+    for name, params in stages.items():
+        # the .npy header, then the buffer's own memory (see save_params)
+        parts[name] = (f"{name}.npy", [])
+        neural.save_params(params, types.SimpleNamespace(write=parts[name][1].append))
     if model.stage2_vocab is not None:
-        parts["stage2_vocab"] = ("stage2_vocab.txt", model.stage2_vocab.format().encode("utf-8"))
+        parts["stage2_vocab"] = ("stage2_vocab.txt", [model.stage2_vocab.format().encode("utf-8")])
     manifest = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
         "dims_used": model.dims_used,
         "ontology_sha256": ontology_hash(model.ontology),
         "files": {name: base for name, (base, _) in parts.items()},
-        "sha256": {name: hashlib.sha256(data).hexdigest() for name, (_, data) in parts.items()},
+        "sha256": {name: _sha256(chunks) for name, (_, chunks) in parts.items()},
         "config": dataclasses.asdict(config) if config is not None else None,
     }
     os.makedirs(directory, exist_ok=True)
-    for base, data in [*parts.values(), ("manifest.json", _json_bytes(manifest))]:
+    for base, chunks in [*parts.values(), ("manifest.json", [_json_bytes(manifest)])]:
         with open(os.path.join(directory, base), "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
 
 
 _MANIFEST_KEYS = ("kind", "dims_used", "files", "sha256", "ontology_sha256")

@@ -815,9 +815,14 @@ def gradient_check(
 # parameter files: the flat buffer as one .npy array (NumPy's NEP 1 format)
 
 def save_params(params: ModelParams, fh) -> None:
-    """Write the parameter buffer to the writable binary file ``fh``; its
-    ``ShapeSpec`` is stored separately (see ``ShapeSpec.to_json``)."""
-    np.save(fh, params.buffer, allow_pickle=False)
+    """Write the parameter buffer to the writable binary file ``fh``, as
+    ``np.save`` would: one ``write`` of the ``.npy`` header, then one of the
+    buffer's own memory, not a copy of it.  Its ``ShapeSpec`` is stored
+    separately (see ``ShapeSpec.to_json``)."""
+    np.lib.format.write_array_header_1_0(
+        fh, np.lib.format.header_data_from_array_1_0(params.buffer)
+    )
+    fh.write(params.buffer.data)
 
 
 def load_params(path, shape: ShapeSpec, data: bytes | None = None) -> ModelParams:
