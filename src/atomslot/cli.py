@@ -84,15 +84,20 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _non_negative_int(text: str) -> int:
+def _non_negative_int(text: str, minimum: int = 0) -> int:
     """argparse type for counts and corpus seeds."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that are never 0."""
+    return _non_negative_int(text, 1)
 
 
 def _parse_sizes(text: str) -> list[int | None]:
@@ -389,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collapse",
                        help="derive the source ontology and relabeled corpora")
     p.add_argument("--ontology", required=True)
-    p.add_argument("--keep-dims", type=_non_negative_int, required=True)
+    p.add_argument("--keep-dims", type=_positive_int, required=True)
     p.add_argument("--train")
     p.add_argument("--valid")
     p.add_argument("--test")

@@ -77,7 +77,7 @@ PRESETS: dict[str, tuple[str, bool]] = {
     "ACD_TS_2": (ACD2, True),
 }
 
-MODEL_FORMAT = "atomslot-model v2"
+MODEL_FORMAT = "atomslot-model v3"
 
 _SALT_SOURCE = 11
 _SALT_TARGET = 12
@@ -100,7 +100,7 @@ class LabelNotInOntology(ModelError):
 
 
 class TrainingDiverged(ModelError):
-    """Every learning-rate candidate met a non-finite gradient."""
+    """Every learning-rate candidate met a non-finite gradient or parameter."""
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,8 @@ class CandidateLog:
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_f1: float | None = None
-    # the epoch in which a gradient went non-finite; training stopped there
+    # the epoch in which a gradient or a parameter went non-finite; training
+    # stopped there
     diverged_epoch: int | None = None
 
 
@@ -435,8 +436,10 @@ def _run_candidate(ci, lr, start, encoded, valid_f1, config: TrainingConfig,
     caller computed once, or a function drawing fresh parameters from the
     candidate's RNG.  The candidate draws from its own RNG stream; shuffling
     depends only on (seed, epoch), so every candidate sees the same data
-    order.  A gradient that goes non-finite stops the candidate there; it
-    is logged as diverged and keeps its best snapshot so far.
+    order.  A gradient that goes non-finite stops the candidate there, and
+    so do parameters that are non-finite after an epoch's updates (a finite
+    gradient times the rate can overflow); it is logged as diverged and
+    keeps its best snapshot so far.
     """
     rng = neural.rng_stream(config.seed, _SALT_INIT, rng_salt, ci)
     if shared_loss is None:
@@ -464,6 +467,10 @@ def _run_candidate(ci, lr, start, encoded, valid_f1, config: TrainingConfig,
                 neural.sgd_step(params, grads, lr)
                 total += loss
         except neural.NonFiniteGradient:
+            diverged = True
+        else:
+            diverged = not np.isfinite(params.buffer).all()
+        if diverged:
             log.diverged_epoch = epoch
             break
         f1 = valid_f1(params)
@@ -685,10 +692,9 @@ def _build_stage2(model, target_ontology, rng, init_range, concept_emb_dim):
     first = stage2.tables[0].weights
     first[:word.rows] = word.weights
     # draw order: the new rows or the concept table, then the BLSTM and head
-    fresh = [first[word.rows:] if stage2_vocab is not None else stage2.tables[1].weights]
-    fresh += [block for name, block in stage2.blocks() if not name.startswith("table")]
-    for block in fresh:
-        block[...] = rng.uniform(-init_range, init_range, size=block.shape)
+    new_rows = first[word.rows:] if stage2_vocab is not None else stage2.tables[1].weights
+    cells_and_head = list(stage2.blocks())[len(tables):]
+    neural.draw_uniform([("table", new_rows), *cells_and_head], rng, init_range)
     return stage2, stage2_vocab
 
 

@@ -6,7 +6,7 @@ input width D and hidden size H:
     inputs        X      (n, D)    rows are embedded tokens; (n, B, D),
                                    time-major, for B equal-length
                                    utterances run in lockstep
-    gate weights  w      (4H, D+H) fused i, f, o, g blocks over [x_t, h_{t-1}]
+    gate weights  W^T    (D+H, 4H) fused i, f, o, g columns over [x_t, h_{t-1}]
     features              (n, 2H)  forward and backward states concatenated
     head weights  w      (C, 2H)   one softmax head per labeling task
 
@@ -165,7 +165,7 @@ def _layout(shape: ShapeSpec) -> _Layout:
         frozen_spans += [pos, pos + frozen * cols]
         pos += rows * cols
     stacked = []
-    for dims in ((2, 4 * H, D + H), (2, 4 * H), (C, 2 * H), (C,)):
+    for dims in ((2, D + H, 4 * H), (2, 4 * H), (C, 2 * H), (C,)):
         stacked.append((slice(pos, pos + math.prod(dims)), dims))
         pos += math.prod(dims)
     head_rows, row = [], 0
@@ -183,7 +183,8 @@ class ModelParams:
     named views into one contiguous float64 buffer.
 
     The buffer holds, in order: each embedding table; both cells' gate
-    weights side by side as ``cells_w`` (2, 4H, D+H), forward first; their
+    weights side by side as ``cells_w`` (2, D+H, 4H), forward first, each
+    as W^T, so W_x^T (``cells_w[d, :D]``) and W_h^T are contiguous; their
     biases ``cells_b`` (2, 4H); every head's weights stacked as ``heads_w``
     (C, 2H), C summed over the heads; their biases ``heads_b`` (C,).
     ``tables``, ``cells_w``, ``cells_b`` and ``heads`` are views of it, so
@@ -302,16 +303,24 @@ class TrainingConfig:
         return tuple(self.lr_grid)
 
 
+def draw_uniform(blocks, rng: np.random.Generator, init_range: float) -> None:
+    """Fill each ``(name, block)`` pair in order with i.i.d. uniform(-init_range,
+    init_range) draws; ``fwd.w`` and ``bwd.w``, stored as W^T, are drawn as W
+    (4H, D+H), so the values do not depend on how the cells are stored."""
+    for name, block in blocks:
+        target = block.T if name in ("fwd.w", "bwd.w") else block
+        target[...] = rng.uniform(-init_range, init_range, size=target.shape)
+
+
 def init_params(
     shape: ShapeSpec, rng: np.random.Generator | int, init_range: float = 0.2
 ) -> ModelParams:
     """Draw every parameter i.i.d. uniform(-init_range, init_range), block
-    by block in ``blocks()`` order."""
+    by block in ``blocks()`` order (see ``draw_uniform``)."""
     if not isinstance(rng, np.random.Generator):
         rng = rng_stream(int(rng))
     params = ModelParams(shape)
-    for _, block in params.blocks():
-        block[...] = rng.uniform(-init_range, init_range, size=block.shape)
+    draw_uniform(params.blocks(), rng, init_range)
     return params
 
 
@@ -435,20 +444,13 @@ def _cell_update(gates: tuple, c_prev, c, tc, h) -> None:
     np.multiply(o, tc, out=h)
 
 
-def _recurrent_weights(params: ModelParams, B: int) -> np.ndarray:
-    """Both directions' W_h^T, (2, H, 4H), for ``h @ W_h^T`` over B rows."""
-    w_h = params.cells_w[:, :, -params.hidden:].transpose(0, 2, 1)
-    # the stacked transposed view is fast for one row, slow for several
-    return np.ascontiguousarray(w_h) if B > 1 else w_h
-
-
 def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
     """Run both LSTM directions over ``B`` equal-length sequences in lockstep,
     keeping every step's states for backpropagation.
 
     ``xs`` is (n, B, D), time-major.  One batched product projects every
     timestep for both directions before the loop, so only the stacked
-    recurrent product ``h @ W_h.T`` stays inside it, and each step updates
+    recurrent product ``h @ W_h^T`` stays inside it, and each step updates
     both directions with one call per operation, on the workspace's
     contiguous step blocks.
     """
@@ -458,12 +460,12 @@ def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
     both = np.empty((2, n, B, D))
     both[0] = xs
     both[1] = xs[::-1]
-    proj = both.reshape(2, n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
+    proj = both.reshape(2, n * B, D) @ params.cells_w[:, :D]
     proj += params.cells_b[:, None]
     # the projection turns into the gate activations, step by step
     gates = work.gates[:n]
     gates[...] = proj.reshape(2, n, B, 4, H).transpose(1, 3, 0, 2, 4)
-    w_h = _recurrent_weights(params, B)
+    w_h = params.cells_w[:, D:]
     rec, rec_gates = work.rec, work.rec_gates
     for h_prev, z, views, c_prev, c, tc, h in work.forward_steps[:n]:
         np.matmul(h_prev, w_h, out=rec)
@@ -472,18 +474,18 @@ def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
     return _Cache(both, gates, work.c[:n + 1], work.tc[:n], work.h[:n + 1], work)
 
 
-def _features(params: ModelParams, xs: np.ndarray, w_h: np.ndarray) -> np.ndarray:
+def _features(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     """The (B, n, 2H) features of ``B`` equal-length sequences, keeping no
     per-step state: the inference twin of ``_run_cells``.
 
-    ``xs`` is (n, B, D), time-major; ``w_h`` is ``_recurrent_weights(params,
-    B)``.  Direction 1 reads the one input projection in reversed time, and
-    each step writes both directions' states straight into their output
-    positions.
+    ``xs`` is (n, B, D), time-major.  Direction 1 reads the one input
+    projection in reversed time, and each step writes both directions'
+    states straight into their output positions.
     """
     n, B, D = xs.shape
     H = params.hidden
-    proj = xs.reshape(n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
+    w_h = params.cells_w[:, D:]
+    proj = xs.reshape(n * B, D) @ params.cells_w[:, :D]
     proj += params.cells_b[:, None]
     proj = proj.reshape(2, n, B, 4 * H)
     c = np.zeros((2, B, H))
@@ -543,9 +545,6 @@ def blstm_forward_batch(params: ModelParams, items: Sequence):
     ``indices`` are positions in ``items`` and ``features`` is a contiguous
     (len(indices), n, 2H) array.  Empty sequences yield nothing.
     """
-    # W_h^T as a view for one-sequence groups; its contiguous copy for the
-    # others is made once per call, at the first group that needs it
-    view, copy = _recurrent_weights(params, 1), None
     seqs = [_normalize_ids(params, ids) for ids in items]
     by_length: dict[int, list[int]] = {}
     for k, seq in enumerate(seqs):
@@ -562,10 +561,7 @@ def blstm_forward_batch(params: ModelParams, items: Sequence):
                 ],
                 axis=2,
             )
-            if len(group) > 1 and copy is None:
-                copy = _recurrent_weights(params, len(group))
-            w_h = copy if len(group) > 1 else view
-            yield np.array(group), _features(params, xs, w_h)
+            yield np.array(group), _features(params, xs)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -595,7 +591,7 @@ def _backprop_cells(
     ``dfeats`` (n, B, 2H) is the loss gradient of ``cache.features()``.
     Returns the gate pre-activation gradients ``dz`` (2, n * B, 4H) and the
     cell inputs ``xh`` = [x_t, h_{t-1}] (2, n * B, D + H) they pair with, in
-    each direction's own time, so that dW = dz^T xh and db = sum(dz); and
+    each direction's own time, so that dW^T = xh^T dz and db = sum(dz); and
     the input gradient dx (n, B, D) in forward time.  None of them shares
     memory with the workspace.
     """
@@ -613,7 +609,7 @@ def _backprop_cells(
     factors[..., 1, :] = cache.c[:-1] * f * (1.0 - f)
     factors[..., 2, :] = tc * o * (1.0 - o)
     factors[..., 3, :] = i * (1.0 - g * g)
-    w_h = params.cells_w[:, :, D:]
+    w_h = params.cells_w[:, D:].transpose(0, 2, 1)
     dh, dc, dh_next, dc_next = work.dh, work.dc, work.dh_next, work.dc_next
     dh_next[...] = 0.0
     dc_next[...] = 0.0
@@ -629,7 +625,7 @@ def _backprop_cells(
         np.multiply(dc, f_t, out=dc_next)
     dz = work.dz[:n].swapaxes(0, 1).copy().reshape(2, n * B, 4 * H)
     xh = np.concatenate([cache.xs, cache.h[:-1].swapaxes(0, 1)], axis=3)
-    dx = (dz @ params.cells_w[:, :, :D]).reshape(2, n, B, D)
+    dx = (dz @ params.cells_w[:, :D].transpose(0, 2, 1)).reshape(2, n, B, D)
     return dz, xh.reshape(2, n * B, D + H), dx[0] + dx[1, ::-1]
 
 
@@ -727,7 +723,7 @@ def loss_and_gradients(
     dlogits, dz, dx = _joined(dlogits_all), _joined(dz_all, axis=1), _joined(dx_all)
     np.matmul(dlogits.T, _joined(head_in_all), out=grads.heads_w)
     np.sum(dlogits, axis=0, out=grads.heads_b)
-    np.matmul(dz.transpose(0, 2, 1), _joined(xh_all, axis=1), out=grads.cells_w)
+    np.matmul(_joined(xh_all, axis=1).transpose(0, 2, 1), dz, out=grads.cells_w)
     np.sum(dz, axis=1, out=grads.cells_b)
     offset = 0
     for k, table in enumerate(grads.tables):
@@ -830,8 +826,8 @@ def load_params(path, shape: ShapeSpec, data: bytes | None = None) -> ModelParam
     ``data``, when given, is the file's content already read, and ``path``
     only names it.
 
-    A file that is not one 1-D float64 array of ``shape``'s size raises
-    NeuralError.
+    A file that is not one 1-D float64 array of ``shape``'s size, or that
+    holds a NaN or an infinity, raises NeuralError.
     """
     try:
         buffer = np.load(io.BytesIO(data) if data is not None else path, allow_pickle=False)
@@ -839,4 +835,6 @@ def load_params(path, shape: ShapeSpec, data: bytes | None = None) -> ModelParam
         raise NeuralError(f"{path}: not a parameter array ({exc})") from None
     if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:
         raise NeuralError(f"{path}: not a 1-D float64 array")
+    if not np.isfinite(buffer).all():
+        raise NeuralError(f"{path}: holds non-finite parameters")
     return ModelParams(shape, buffer)

@@ -60,8 +60,8 @@ def reference_features(params, ids):
     if len(seqs[0]) == 0:
         return np.zeros((0, 2 * params.hidden))
     xs = np.concatenate([t.weights[s] for t, s in zip(params.tables, seqs)], axis=1)
-    fwd = reference_direction(params.cells_w[0], params.cells_b[0], xs)
-    bwd = reference_direction(params.cells_w[1], params.cells_b[1], xs[::-1])[::-1]
+    fwd = reference_direction(params.cells_w[0].T, params.cells_b[0], xs)
+    bwd = reference_direction(params.cells_w[1].T, params.cells_b[1], xs[::-1])[::-1]
     return np.concatenate([fwd, bwd], axis=1)
 
 
@@ -194,24 +194,6 @@ def test_batched_features_equal_the_per_sentence_loop(setting, kind):
     assert len(same) > neural.GROUP_CAP
 
 
-def test_one_copy_of_the_recurrent_weights_per_batched_call(setting, monkeypatch):
-    params = make_model(AC, setting, seed=2).stage1
-    rng = np.random.default_rng(0)
-    # groups of one and of several, over several lengths
-    items = [rng.integers(0, 5, size=n) for n in (3, 3, 3, 4, 5, 5, 7, 9, 9)]
-    expected = list(neural.blstm_forward_batch(params, items))
-    made = []
-    real = neural._recurrent_weights
-    monkeypatch.setattr(
-        neural, "_recurrent_weights", lambda params, B: made.append(B > 1) or real(params, B)
-    )
-    got = list(neural.blstm_forward_batch(params, items))
-    assert made.count(True) == 1
-    for (members, features), (members_before, before) in zip(got, expected):
-        assert np.array_equal(members, members_before)
-        assert np.array_equal(features, before)
-
-
 @pytest.mark.parametrize("batch", [1, 5])
 def test_cache_free_features_equal_the_training_kernel(setting, batch):
     """Inference and training share the step math and the products, so the
@@ -220,6 +202,6 @@ def test_cache_free_features_equal_the_training_kernel(setting, batch):
     params = model.stage2
     rng = np.random.default_rng(batch)
     xs = rng.normal(size=(7, batch, params.input_dim))
-    features = neural._features(params, xs, neural._recurrent_weights(params, batch))
+    features = neural._features(params, xs)
     assert features.flags.c_contiguous
     assert np.array_equal(features, neural._run_cells(params, xs).features().transpose(1, 0, 2))

@@ -525,6 +525,7 @@ def test_a_file_that_is_not_utf8_is_a_data_error(workspace, trained, tmp_path, c
     ("train", "--subset", "-1"),
     ("adapt", "--subset", "-2"),
     ("collapse", "--keep-dims", "-1"),
+    ("collapse", "--keep-dims", "0"),
 ])
 def test_negative_count_or_seed_is_usage_error(
     workspace, tmp_path, capsys, command, flag, value
@@ -548,7 +549,24 @@ def test_negative_count_or_seed_is_usage_error(
     ]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
     assert len(errors) == 1
-    assert f"argument {flag}: must be >= 0, got {value}" in errors[0]
+    # no ontology keeps 0 dimensions
+    minimum = 1 if flag == "--keep-dims" else 0
+    assert f"argument {flag}: must be >= {minimum}, got {value}" in errors[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_parameters_that_overflow_in_training_are_a_divergence(tmp_path, capsys):
+    # a finite gradient times this rate overflows the update to infinity
+    assert run_command(["synth", "--n", "1", "--seed", "0", "--out", str(tmp_path / "s")]) == 0
+    corpus = str(tmp_path / "s" / "corpus.txt")
+    assert run_command([
+        "train", "--kind", "JS", "--ontology", "builtin",
+        "--train", corpus, "--valid", corpus, "--test", corpus,
+        "--epochs", "1", "--lr", "1e308", "--dropout", "0", "--hidden", "4", "--emb-dim", "3",
+        "--out", str(tmp_path / "o"),
+    ]) == 2
+    assert "every learning-rate candidate diverged (1e+308)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

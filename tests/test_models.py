@@ -510,12 +510,13 @@ def test_adjust_acd2_concept_channel():
     assert concept_table.frozen_rows == 0
 
 
-def reference_heads(before, after_labels, seed, init_range=0.2):
+def reference_heads(before, after_labels, seed, init_range=0.2, rng=None):
     """Per head of the grown model, the weights and biases that adjustment
     must produce: the old head's rows, then new rows drawn from the
-    adjustment stream (salt 301), head by head in index order, weights
-    before biases.  A head with no new labels draws nothing."""
-    rng = neural.rng_stream(seed, 301)
+    adjustment stream (salt 301, or ``rng`` when given), head by head in
+    index order, weights before biases.  A head with no new labels draws
+    nothing."""
+    rng = rng if rng is not None else neural.rng_stream(seed, 301)
     width = 2 * before.hidden
     expected = []
     for j, labels in enumerate(after_labels):
@@ -560,6 +561,37 @@ def test_adjust_draws_new_rows_head_by_head(kind, dims_used, grown):
     for j, (head, (w, b)) in enumerate(zip(after.heads, expected)):
         assert np.array_equal(head.w, w), j
         assert np.array_equal(head.b, b), j
+
+
+@pytest.mark.parametrize("kind", [ACD1, ACD2])
+def test_adjust_draws_stage2_after_the_new_head_rows(kind):
+    """Stage 2 draws from the adjustment stream after stage 1's new head
+    rows: its new word rows (ACD1) or its concept table (ACD2), then each
+    direction's gate weights as W (4H, D+H), stored transposed, and bias,
+    then its head's weights and bias."""
+    ontology, source_ontology, source = source_setup()
+    model = tagger(kind, source_ontology, source, dims_used=1, seed=6)
+    adjusted = adjust_nn_arch(
+        model, source_ontology, ontology, seed=5, init_range=0.3, concept_emb_dim=3
+    )
+    rng = neural.rng_stream(5, 301)
+    reference_heads(model.stage1, adjusted.stage1.shape.heads, 5, 0.3, rng)
+    stage2 = adjusted.stage2
+    H, D, C = stage2.hidden, stage2.input_dim, len(stage2.heads[0].labels)
+    words = stage2.tables[0].weights
+    fresh = words[len(model.vocab):] if kind == ACD1 else stage2.tables[1].weights
+    assert fresh.size
+    expected = [
+        (fresh, fresh.shape),
+        (stage2.cells_w[0].T, (4 * H, D + H)),
+        (stage2.cells_b[0], (4 * H,)),
+        (stage2.cells_w[1].T, (4 * H, D + H)),
+        (stage2.cells_b[1], (4 * H,)),
+        (stage2.heads[0].w, (C, 2 * H)),
+        (stage2.heads[0].b, (C,)),
+    ]
+    for k, (block, size) in enumerate(expected):
+        assert np.array_equal(block, rng.uniform(-0.3, 0.3, size=size)), k
 
 
 # ---------------------------------------------------------------------------
@@ -932,9 +964,26 @@ def test_load_model_rejects_a_bool_dims_used(tmp_path):
 
 
 def test_load_model_rejects_a_text_bundle(tmp_path):
+    """v1 stored text; v2 stored each cell's gate weights untransposed, so
+    its arrays would load with the right sizes and give wrong tags."""
     bundle = _saved_js_bundle(tmp_path)
-    _edit_manifest(bundle, lambda m: {**m, "format": "atomslot-model v1"})
-    with pytest.raises(ModelError, match="atomslot-model v1"):
+    for old in ("atomslot-model v1", "atomslot-model v2"):
+        _edit_manifest(bundle, lambda m: {**m, "format": old})
+        with pytest.raises(ModelError, match=old):
+            load_model(bundle)
+
+
+def test_load_model_rejects_non_finite_parameters(tmp_path):
+    import hashlib
+
+    bundle = _saved_js_bundle(tmp_path)
+    path = bundle / "stage1.npy"
+    buffer = np.load(path)
+    buffer[3] = np.nan
+    np.save(path, buffer)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    _edit_manifest(bundle, lambda m: {**m, "sha256": {**m["sha256"], "stage1": digest}})
+    with pytest.raises(ModelError, match="stage1.npy: holds non-finite parameters"):
         load_model(bundle)
 
 

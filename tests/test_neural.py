@@ -56,7 +56,7 @@ def test_init_params_shapes_and_bounds():
     assert params.tables[0].weights.shape == (11, 5)
     assert params.tables[0].frozen_rows == 3
     assert params.tables[1].frozen_rows == 0
-    assert params.cells_w[0].shape == (24, 7 + 6)
+    assert params.cells_w[0].shape == (7 + 6, 24)
     assert params.cells_b[0].shape == (24,)
     assert params.heads[1].w.shape == (3, 12)
     assert params.input_dim == 7
@@ -73,17 +73,35 @@ def test_init_params_deterministic_for_equal_seeds():
 
 
 def test_init_params_draw_order_tables_first():
-    # the first rows*cols uniform draws must land in the embedding table
+    # one stream, block by block: the table, then each direction's gate
+    # weights drawn as W (4H, D+H) and stored transposed, and its bias, then
+    # each head's weights and bias
+    shape = ShapeSpec(tables=((9, 4), (5, 2)), hidden=3, heads=(("O", "B", "I"), ("x", "y")))
+    params = init_params(shape, rng_stream(42))
     rng = rng_stream(42)
-    expected = rng.uniform(-0.2, 0.2, size=(9, 4))
-    params = init_params(SHAPE, rng_stream(42))
-    assert np.array_equal(params.tables[0].weights, expected)
+    expected = [
+        (params.tables[0].weights, (9, 4)),
+        (params.tables[1].weights, (5, 2)),
+        (params.cells_w[0].T, (12, 6 + 3)),
+        (params.cells_b[0], (12,)),
+        (params.cells_w[1].T, (12, 6 + 3)),
+        (params.cells_b[1], (12,)),
+        (params.heads[0].w, (3, 6)),
+        (params.heads[0].b, (3,)),
+        (params.heads[1].w, (2, 6)),
+        (params.heads[1].b, (2,)),
+    ]
+    for k, (block, size) in enumerate(expected):
+        assert np.array_equal(block, rng.uniform(-0.2, 0.2, size=size)), k
+    assert sum(block.size for block, _ in expected) == params.buffer.size
 
 
 # ---------------------------------------------------------------------------
 # forward pass against a naive per-gate oracle
 
 def naive_lstm(w, b, xs):
+    """One direction over ``xs``; ``w`` is W (4H, D+H), the transpose of
+    the direction's ``cells_w`` slab."""
     H = b.shape[0] // 4
     h = np.zeros(H)
     c = np.zeros(H)
@@ -104,8 +122,8 @@ def test_blstm_matches_naive_oracle():
     params = small_params(seed=3)
     ids = np.array([1, 4, 2, 7, 0])
     xs = params.tables[0].weights[ids]
-    fwd = naive_lstm(params.cells_w[0], params.cells_b[0], xs)
-    bwd = naive_lstm(params.cells_w[1], params.cells_b[1], xs[::-1])[::-1]
+    fwd = naive_lstm(params.cells_w[0].T, params.cells_b[0], xs)
+    bwd = naive_lstm(params.cells_w[1].T, params.cells_b[1], xs[::-1])[::-1]
     features = blstm_forward(params, ids)
     assert features.shape == (5, 6)
     np.testing.assert_allclose(features[:, :3], fwd, rtol=0, atol=1e-12)
@@ -125,7 +143,7 @@ def test_multichannel_input_concatenates_embeddings():
     xs = np.concatenate(
         [params.tables[0].weights[ids[0]], params.tables[1].weights[ids[1]]], axis=1
     )
-    fwd = naive_lstm(params.cells_w[0], params.cells_b[0], xs)
+    fwd = naive_lstm(params.cells_w[0].T, params.cells_b[0], xs)
     features = blstm_forward(params, ids)
     np.testing.assert_allclose(features[:, :2], fwd, atol=1e-12)
 

@@ -4,13 +4,15 @@ against the code they replaced.
 The first reference below is the training step as it was before both LSTM
 directions shared one kernel: one direction at a time forward and back,
 each parameter block in its own array, and an SGD update block by block.
-The fused step groups its products differently, so gradients agree to
-1e-12, not bit for bit.
+It works on each direction's W (4H, D+H), the transpose of what
+``cells_w`` stores.  The fused step groups its products differently, so
+gradients agree to 1e-12, not bit for bit.
 
 The second is the fused kernel as it was before its step caches became
-time-major and gate-major, direction first with a fresh cache per call.
-The layout moved, but every product and elementwise operation kept its
-order, so gradients agree bit for bit.
+time-major and gate-major, direction first with a fresh cache per call,
+reading the same W^T slabs of ``cells_w`` as the kernel does.  The layout
+moved, but every product and elementwise operation kept its order, so
+gradients agree bit for bit.
 """
 
 import math
@@ -89,8 +91,8 @@ def reference_gradients(params, batch, masks=None):
             continue
         if m is not None:
             xs = xs * m.input
-        fwd = reference_direction(params.cells_w[0], params.cells_b[0], xs)
-        bwd = reference_direction(params.cells_w[1], params.cells_b[1], xs[::-1])
+        fwd = reference_direction(params.cells_w[0].T, params.cells_b[0], xs)
+        bwd = reference_direction(params.cells_w[1].T, params.cells_b[1], xs[::-1])
         feats = np.concatenate([fwd[3][1:], bwd[3][:0:-1]], axis=1)
         head_in = feats * m.features if m is not None else feats
         dfeats = np.zeros((n, 2 * H))
@@ -106,11 +108,13 @@ def reference_gradients(params, batch, masks=None):
             dfeats += dlogits @ head.w
         if m is not None:
             dfeats = dfeats * m.features
-        dw_f, db_f, dx_f = reference_backward(params.cells_w[0], xs, fwd, dfeats[:, :H])
-        dw_b, db_b, dx_b = reference_backward(params.cells_w[1], xs[::-1], bwd, dfeats[::-1, H:])
-        grads["fwd.w"] += dw_f
+        dw_f, db_f, dx_f = reference_backward(params.cells_w[0].T, xs, fwd, dfeats[:, :H])
+        dw_b, db_b, dx_b = reference_backward(
+            params.cells_w[1].T, xs[::-1], bwd, dfeats[::-1, H:]
+        )
+        grads["fwd.w"] += dw_f.T
         grads["fwd.b"] += db_f
-        grads["bwd.w"] += dw_b
+        grads["bwd.w"] += dw_b.T
         grads["bwd.b"] += db_b
         dx = dx_f + dx_b[::-1]
         if m is not None:
@@ -153,10 +157,10 @@ def direction_major_run_cells(params, xs):
     both = np.empty((2, n, B, D))
     both[0] = xs
     both[1] = xs[::-1]
-    gates = both.reshape(2, n * B, D) @ params.cells_w[:, :, :D].transpose(0, 2, 1)
+    gates = both.reshape(2, n * B, D) @ params.cells_w[:, :D]
     gates += params.cells_b[:, None]
     gates = gates.reshape(2, n, B, 4 * H)
-    w_h = params.cells_w[:, :, -H:].transpose(0, 2, 1)
+    w_h = params.cells_w[:, D:]
     c = np.zeros((2, n + 1, B, H))
     tc = np.empty((2, n, B, H))
     h = np.zeros((2, n + 1, B, H))
@@ -179,7 +183,7 @@ def direction_major_backprop_cells(params, cache, dh_out):
     factors[..., 1, :] = c[:, :-1] * f * (1.0 - f)
     factors[..., 2, :] = tc * o * (1.0 - o)
     factors[..., 3, :] = i * (1.0 - g * g)
-    w_h = params.cells_w[:, :, D:]
+    w_h = params.cells_w[:, D:].transpose(0, 2, 1)
     dz = np.empty((2, n, B, 4, H))
     dh_next = np.zeros((2, B, H))
     dc_next = np.zeros((2, B, H))
@@ -194,7 +198,7 @@ def direction_major_backprop_cells(params, cache, dh_out):
         dc_next = dc * f[:, t]
     dz = dz.reshape(2, n * B, 4 * H)
     xh = np.concatenate([xs, h[:, :-1]], axis=3).reshape(2, n * B, D + H)
-    dx = (dz @ params.cells_w[:, :, :D]).reshape(2, n, B, D)
+    dx = (dz @ params.cells_w[:, :D].transpose(0, 2, 1)).reshape(2, n, B, D)
     return dz, xh, dx[0] + dx[1, ::-1]
 
 
@@ -247,7 +251,7 @@ def direction_major_gradients(params, batch, masks=None):
     dlogits, dz, dx = joined(dlogits_all), joined(dz_all, axis=1), joined(dx_all)
     np.matmul(dlogits.T, joined(head_in_all), out=grads.heads_w)
     np.sum(dlogits, axis=0, out=grads.heads_b)
-    np.matmul(dz.transpose(0, 2, 1), joined(xh_all, axis=1), out=grads.cells_w)
+    np.matmul(joined(xh_all, axis=1).transpose(0, 2, 1), dz, out=grads.cells_w)
     np.sum(dz, axis=1, out=grads.cells_b)
     offset = 0
     for k, table in enumerate(grads.tables):
