@@ -455,17 +455,19 @@ def _run_candidate(ci, lr, start, encoded, valid_f1, config: TrainingConfig,
         )
         total = 0.0
         try:
-            for i in order:
-                ids, gold = encoded[i]
-                masks = neural.make_dropout_masks(
-                    rng, config.dropout, _item_length(ids),
-                    params.input_dim, params.hidden,
-                )
-                loss, grads = neural.loss_and_gradients(
-                    params, [(ids, gold)], [masks] if masks is not None else None
-                )
-                neural.sgd_step(params, grads, lr)
-                total += loss
+            # an overflow is found by the checks below, not reported by numpy
+            with np.errstate(all="ignore"):
+                for i in order:
+                    ids, gold = encoded[i]
+                    masks = neural.make_dropout_masks(
+                        rng, config.dropout, _item_length(ids),
+                        params.input_dim, params.hidden,
+                    )
+                    loss, grads = neural.loss_and_gradients(
+                        params, [(ids, gold)], [masks] if masks is not None else None
+                    )
+                    neural.sgd_step(params, grads, lr)
+                    total += loss
         except neural.NonFiniteGradient:
             diverged = True
         else:
@@ -939,7 +941,9 @@ def save_model(model: TaggerModel, directory, config: TrainingConfig | None = No
     for name, params in stages.items():
         # the .npy header, then the buffer's own memory (see save_params)
         parts[name] = (f"{name}.npy", [])
-        neural.save_params(params, types.SimpleNamespace(write=parts[name][1].append))
+        _read(os.path.join(directory, f"{name}.npy"), lambda: neural.save_params(
+            params, types.SimpleNamespace(write=parts[name][1].append)
+        ))
     if model.stage2_vocab is not None:
         parts["stage2_vocab"] = ("stage2_vocab.txt", [model.stage2_vocab.format().encode("utf-8")])
     manifest = {
@@ -1013,8 +1017,8 @@ def _check_bundle(model: TaggerModel) -> None:
 
 
 def _read(path, reader):
-    """``reader()``; a failure to read or parse the file at ``path`` raises
-    a ModelError that names it."""
+    """``reader()``; a failure to read, parse or write the file at ``path``
+    raises a ModelError that names it."""
     try:
         return reader()
     except (OSError, ValueError, CorpusError, OntologyError, neural.NeuralError) as exc:

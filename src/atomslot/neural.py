@@ -428,13 +428,12 @@ class _Cache:
 
 def _cell_update(gates: tuple, c_prev, c, tc, h) -> None:
     """One LSTM step after the products.  ``gates`` holds views of the
-    pre-activations: all of them, the three sigmoid gates, then i, f, o and
-    g.  In place, i, f, o become sigmoids and g a tanh; then the new cell
-    state goes to ``c`` (which may be ``c_prev``), its tanh to ``tc``, and
-    the new hidden state to ``h``."""
+    pre-activations, the sigmoid gates' already halved: all of them, the
+    three sigmoid gates, then i, f, o and g.  In place, i, f, o become
+    sigmoids and g a tanh; then the new cell state goes to ``c`` (which may
+    be ``c_prev``), its tanh to ``tc``, and the new hidden state to ``h``."""
     z, sig, i, f, o, g = gates
     # sigmoid(x) = (1 + tanh(x / 2)) / 2, so one tanh covers all four gates
-    sig *= 0.5
     np.tanh(z, out=z)
     sig *= 0.5
     sig += 0.5
@@ -470,41 +469,47 @@ def _run_cells(params: ModelParams, xs: np.ndarray) -> _Cache:
     for h_prev, z, views, c_prev, c, tc, h in work.forward_steps[:n]:
         np.matmul(h_prev, w_h, out=rec)
         z += rec_gates
+        # halve the sigmoid gates, for _cell_update's one tanh
+        np.multiply(views[1], 0.5, out=views[1])
         _cell_update(views, c_prev, c, tc, h)
     return _Cache(both, gates, work.c[:n + 1], work.tc[:n], work.h[:n + 1], work)
 
 
-def _features(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+def _features(table: np.ndarray, idx: np.ndarray, w_h: np.ndarray) -> np.ndarray:
     """The (B, n, 2H) features of ``B`` equal-length sequences, keeping no
     per-step state: the inference twin of ``_run_cells``.
 
-    ``xs`` is (n, B, D), time-major.  Direction 1 reads the one input
-    projection in reversed time, and each step writes both directions'
-    states straight into their output positions.
+    ``table`` (2U, 4H) holds projected input rows and ``idx`` (n, 2, B) the
+    row each direction reads at each of its steps, direction 1 in its own
+    reversed time; ``w_h`` (2, H, 4H) is W_h^T.  Table and ``w_h`` come with
+    the sigmoid gates' columns halved (see ``_projection_table``), so
+    ``table[k] + h @ w_h`` equals, bit for bit, the halved pre-activation
+    of ``_run_cells``: scaling by 0.5 is exact.  States go to a time-major
+    buffer, and the features are built from it once.
     """
-    n, B, D = xs.shape
-    H = params.hidden
-    w_h = params.cells_w[:, D:]
-    proj = xs.reshape(n * B, D) @ params.cells_w[:, :D]
-    proj += params.cells_b[:, None]
-    proj = proj.reshape(2, n, B, 4 * H)
+    n, _, B = idx.shape
+    H = w_h.shape[1]
+    hs = np.zeros((n + 1, 2, B, H))
     c = np.zeros((2, B, H))
     tc = np.empty((2, B, H))
-    h = np.zeros((2, B, H))
     z = np.empty((2, B, 4 * H))
+    rec = np.empty((2, B, 4 * H))
     gates = (z, z[..., :3 * H], *np.split(z, 4, axis=2))
-    out = np.empty((B, n, 2 * H))
     for t in range(n):
-        np.matmul(h, w_h, out=z)
-        z[0] += proj[0, t]
-        z[1] += proj[1, n - 1 - t]
-        _cell_update(gates, c, c, tc, h)
-        out[:, t, :H] = h[0]
-        out[:, n - 1 - t, H:] = h[1]
+        np.matmul(hs[t], w_h, out=rec)
+        # the indices are in range by construction; "clip" takes them unbuffered
+        np.take(table, idx[t], axis=0, out=z, mode="clip")
+        z += rec
+        _cell_update(gates, c, c, tc, hs[t + 1])
+    out = np.empty((B, n, 2 * H))
+    out[..., :H] = hs[1:, 0].swapaxes(0, 1)
+    out[..., H:] = hs[:0:-1, 1].swapaxes(0, 1)
     return out
 
 
 def _normalize_ids(params: ModelParams, ids) -> tuple[np.ndarray, ...]:
+    """One int64 id array per embedding table, all of one length; anything
+    else raises NeuralError.  ``_check_rows`` checks the ids themselves."""
     if isinstance(ids, tuple):
         seqs = tuple(np.asarray(s, dtype=np.int64) for s in ids)
     else:
@@ -519,6 +524,16 @@ def _normalize_ids(params: ModelParams, ids) -> tuple[np.ndarray, ...]:
     return seqs
 
 
+def _check_rows(params: ModelParams, seqs) -> None:
+    """Each id of ``seqs`` (one int64 array per table) is a row of its
+    table; a negative id would otherwise read a row from the end."""
+    for k, (table, ids) in enumerate(zip(params.tables, seqs)):
+        # as unsigned, a negative id is larger than any row count
+        if len(ids) and ids.view(np.uint64).max() >= table.rows:
+            bad = ids[(ids < 0) | (ids >= table.rows)][0]
+            raise NeuralError(f"id {bad} is not a row of table {k}, which has {table.rows}")
+
+
 def blstm_forward(params: ModelParams, ids) -> np.ndarray:
     """Per-position features, (n, 2H): forward and backward states
     concatenated, dropout off."""
@@ -527,41 +542,75 @@ def blstm_forward(params: ModelParams, ids) -> np.ndarray:
     return np.empty((0, 2 * params.hidden))
 
 
-# Sentences per lockstep group.  Each group's input projection and features,
-# and with them peak memory, grow with its size.  Without per-step caches, on
-# 1000 sentences of up to 14 tokens at H=100 (2 vCPUs), groups of 24, 32 and
-# 48 tagged equally fast (106, 105 and 103 ms; groups of 8 took 132 ms),
-# while their peak allocation was 4.0, 5.5 and 6.6 MB.
+# Sentences per lockstep group.  A group's state buffer and features, and
+# with them peak memory, grow with its size.  One pass over 1000 sentences
+# of up to 14 tokens at H=100 (2 vCPUs) took 84-86, 81-82, 80-84 and
+# 77-80 ms at caps of 16, 24, 48 and 96, and 98-109 ms at 8, with
+# bit-identical features.
 GROUP_CAP = 24
+
+
+def _projection_table(params: ModelParams, seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct input row of ``seqs`` (one id per table) projected
+    once, and which row each position reads.
+
+    Returns the table (2U, 4H), direction 0's U rows then direction 1's,
+    each ``x W_x^T + b`` with the sigmoid gates' columns halved, and the
+    row of every position of ``seqs`` in order, in [0, U).
+    """
+    columns = [np.concatenate([seq[k] for seq in seqs]) for k in range(len(params.tables))]
+    _check_rows(params, columns)
+    # a mixed-radix key per position, renumbered after each table so that
+    # it stays below positions x rows and cannot overflow
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for table, col in zip(params.tables, columns):
+        _, first, key = np.unique(key * table.rows + col, return_index=True, return_inverse=True)
+    U = len(first)
+    # numpy multiplies a single row by another BLAS routine, whose sums can
+    # differ in the last bit from the matrix product of the training kernel
+    first = np.resize(first, max(U, 2))
+    rows = np.concatenate(
+        [table.weights[col[first]] for table, col in zip(params.tables, columns)], axis=1
+    )
+    H = params.hidden
+    proj = rows @ params.cells_w[:, :params.input_dim]
+    proj += params.cells_b[:, None]
+    proj[..., :3 * H] *= 0.5
+    return proj[:, :U].reshape(2 * U, 4 * H), key
 
 
 def blstm_forward_batch(params: ModelParams, items: Sequence):
     """Features of many id sequences, dropout off, run in equal-length groups.
 
     ``items`` holds one id array, or one tuple of arrays, per sequence.
-    Sequences are grouped by length and each group of at most ``GROUP_CAP``
-    runs through both directions in lockstep (``_features``).  Yields
-    ``(indices, features)`` per group in order of increasing length, where
-    ``indices`` are positions in ``items`` and ``features`` is a contiguous
-    (len(indices), n, 2H) array.  Empty sequences yield nothing.
+    Every distinct input row of the call is projected once
+    (``_projection_table``).  Sequences are grouped by length and each
+    group of at most ``GROUP_CAP`` runs through both directions in lockstep
+    (``_features``).  Yields ``(indices, features)`` per group in order of
+    increasing length, where ``indices`` are positions in ``items`` and
+    ``features`` is a contiguous (len(indices), n, 2H) array.  Empty
+    sequences yield nothing.
     """
     seqs = [_normalize_ids(params, ids) for ids in items]
     by_length: dict[int, list[int]] = {}
     for k, seq in enumerate(seqs):
         if len(seq[0]):
             by_length.setdefault(len(seq[0]), []).append(k)
+    if not by_length:
+        return
+    table, row_of = _projection_table(params, seqs)
+    U = len(table) // 2
+    starts = np.cumsum([0] + [len(seq[0]) for seq in seqs])
+    H, D = params.hidden, params.input_dim
+    w_h = params.cells_w[:, D:].copy()
+    w_h[..., :3 * H] *= 0.5
     for n in sorted(by_length):
         members = by_length[n]
         for start in range(0, len(members), GROUP_CAP):
-            group = members[start:start + GROUP_CAP]
-            xs = np.concatenate(
-                [
-                    table.weights[np.stack([seqs[k][j] for k in group], axis=1)]
-                    for j, table in enumerate(params.tables)
-                ],
-                axis=2,
-            )
-            yield np.array(group), _features(params, xs)
+            group = np.array(members[start:start + GROUP_CAP])
+            rows = row_of[starts[group][None] + np.arange(n)[:, None]]  # (n, B)
+            idx = np.stack([rows, rows[::-1] + U], axis=1)
+            yield group, _features(table, idx, w_h)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -673,6 +722,7 @@ def loss_and_gradients(
     dlogits_all, head_in_all, dz_all, xh_all, dx_all, ids_all = [], [], [], [], [], []
     for b, (ids, labels) in enumerate(batch):
         seqs = _normalize_ids(params, ids)
+        _check_rows(params, seqs)
         n = len(seqs[0])
         if n == 0:
             continue
@@ -810,11 +860,19 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 # parameter files: the flat buffer as one .npy array (NumPy's NEP 1 format)
 
+def _check_finite(buffer: np.ndarray) -> None:
+    if not np.isfinite(buffer).all():
+        raise NeuralError("holds non-finite parameters")
+
+
 def save_params(params: ModelParams, fh) -> None:
     """Write the parameter buffer to the writable binary file ``fh``, as
     ``np.save`` would: one ``write`` of the ``.npy`` header, then one of the
     buffer's own memory, not a copy of it.  Its ``ShapeSpec`` is stored
-    separately (see ``ShapeSpec.to_json``)."""
+    separately (see ``ShapeSpec.to_json``).  A buffer that ``load_params``
+    would refuse, one holding a NaN or an infinity, raises NeuralError
+    before anything is written."""
+    _check_finite(params.buffer)
     np.lib.format.write_array_header_1_0(
         fh, np.lib.format.header_data_from_array_1_0(params.buffer)
     )
@@ -824,17 +882,17 @@ def save_params(params: ModelParams, fh) -> None:
 def load_params(path, shape: ShapeSpec, data: bytes | None = None) -> ModelParams:
     """Read a buffer written by ``save_params`` as parameters of ``shape``.
     ``data``, when given, is the file's content already read, and ``path``
-    only names it.
+    is not opened.
 
     A file that is not one 1-D float64 array of ``shape``'s size, or that
-    holds a NaN or an infinity, raises NeuralError.
+    holds a NaN or an infinity, raises NeuralError.  Its message does not
+    name the file; the caller does (see ``models.load_model``).
     """
     try:
         buffer = np.load(io.BytesIO(data) if data is not None else path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
-        raise NeuralError(f"{path}: not a parameter array ({exc})") from None
+        raise NeuralError(f"not a parameter array ({exc})") from None
     if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:
-        raise NeuralError(f"{path}: not a 1-D float64 array")
-    if not np.isfinite(buffer).all():
-        raise NeuralError(f"{path}: holds non-finite parameters")
+        raise NeuralError("not a 1-D float64 array")
+    _check_finite(buffer)
     return ModelParams(shape, buffer)

@@ -196,12 +196,26 @@ def test_batched_features_equal_the_per_sentence_loop(setting, kind):
 
 @pytest.mark.parametrize("batch", [1, 5])
 def test_cache_free_features_equal_the_training_kernel(setting, batch):
-    """Inference and training share the step math and the products, so the
-    cache-free pass gives the caching kernel's features bit for bit."""
+    """Inference projects each distinct input row once and halves the
+    sigmoid gates before the step; scaling by 0.5 is exact, so it gives the
+    caching kernel's features bit for bit, whether the positions read rows
+    drawn at random, all one row, or each its own."""
     model = make_model(ACD2, setting, seed=5)
     params = model.stage2
+    n = 7
+    pairs = params.tables[0].rows * params.tables[1].rows
     rng = np.random.default_rng(batch)
-    xs = rng.normal(size=(7, batch, params.input_dim))
-    features = neural._features(params, xs)
-    assert features.flags.c_contiguous
-    assert np.array_equal(features, neural._run_cells(params, xs).features().transpose(1, 0, 2))
+    for rows, keys in [
+        ("random", rng.integers(0, pairs, size=(batch, n))),
+        ("one", np.full((batch, n), rng.integers(0, pairs))),
+        ("distinct", rng.choice(pairs, size=(batch, n), replace=False)),
+    ]:
+        words, concepts = np.divmod(keys, params.tables[1].rows)
+        (members, features), = neural.blstm_forward_batch(params, list(zip(words, concepts)))
+        assert list(members) == list(range(batch))
+        assert features.flags.c_contiguous
+        xs = np.concatenate(
+            [params.tables[0].weights[words.T], params.tables[1].weights[concepts.T]], axis=2
+        )
+        training = neural._run_cells(params, xs).features().transpose(1, 0, 2)
+        assert np.array_equal(features, training), rows

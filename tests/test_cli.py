@@ -555,9 +555,10 @@ def test_negative_count_or_seed_is_usage_error(
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_parameters_that_overflow_in_training_are_a_divergence(tmp_path, capsys):
-    # a finite gradient times this rate overflows the update to infinity
+    # a finite gradient times this rate overflows the update to infinity;
+    # the divergence is reported once, with no numpy warning before it
     assert run_command(["synth", "--n", "1", "--seed", "0", "--out", str(tmp_path / "s")]) == 0
     corpus = str(tmp_path / "s" / "corpus.txt")
     assert run_command([

@@ -798,6 +798,19 @@ def test_save_model_refuses_a_vocabulary_token_with_a_line_break(tmp_path, token
     assert not (tmp_path / "bundle").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_save_model_refuses_non_finite_parameters(tmp_path, value):
+    """A bundle that load_model would refuse is not written: the save
+    raises load_model's error before it creates anything."""
+    model = tagger(JS, target_ontology(), prepared_target()[0])
+    model.stage1.heads_b[0] = value
+    bundle = tmp_path / "bundle"
+    with pytest.raises(ModelError) as caught:
+        save_model(model, bundle, TINY)
+    assert str(caught.value) == f"{bundle / 'stage1.npy'}: holds non-finite parameters"
+    assert not bundle.exists()
+
+
 def test_load_model_rejects_a_shortened_vocabulary(tmp_path):
     bundle = _saved_js_bundle(tmp_path)
     vocab = bundle / "vocab.txt"
@@ -983,8 +996,10 @@ def test_load_model_rejects_non_finite_parameters(tmp_path):
     np.save(path, buffer)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     _edit_manifest(bundle, lambda m: {**m, "sha256": {**m["sha256"], "stage1": digest}})
-    with pytest.raises(ModelError, match="stage1.npy: holds non-finite parameters"):
+    with pytest.raises(ModelError, match="stage1.npy: holds non-finite parameters") as caught:
         load_model(bundle)
+    # the path once, not once from the reader and again from the bundle
+    assert str(caught.value) == f"{path}: holds non-finite parameters"
 
 
 def test_load_model_rejects_a_manifest_whose_hashes_miss_a_file(tmp_path):

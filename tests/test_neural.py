@@ -16,6 +16,7 @@ from atomslot.neural import (
     ShapeSpec,
     TrainingConfig,
     blstm_forward,
+    blstm_forward_batch,
     gradient_check,
     head_forward,
     init_params,
@@ -155,6 +156,25 @@ def test_channel_count_and_length_validation():
         blstm_forward(params, np.array([1, 2]))
     with pytest.raises(NeuralError):
         blstm_forward(params, (np.array([1, 2]), np.array([0])))
+
+
+@pytest.mark.parametrize("call", [
+    lambda params, ids: list(blstm_forward_batch(params, [ids])),
+    lambda params, ids: sequence_loss(params, [(ids, [np.zeros(3, dtype=np.int64)])]),
+    lambda params, ids: loss_and_gradients(params, [(ids, [np.zeros(3, dtype=np.int64)])]),
+], ids=["blstm_forward_batch", "sequence_loss", "loss_and_gradients"])
+@pytest.mark.parametrize("ids, bad", [
+    (([0, 1, -1], [0, 1, 2]), "id -1 is not a row of table 0, which has 5"),
+    (([0, 1, 5], [0, 1, 2]), "id 5 is not a row of table 0, which has 5"),
+    (([0, 1, 2], [0, 4, 1]), "id 4 is not a row of table 1, which has 4"),
+], ids=["negative", "past-the-end", "second-table"])
+def test_an_id_outside_its_table_is_refused(call, ids, bad):
+    """A negative id would wrap to the last row, and a large one escape as
+    an IndexError."""
+    shape = ShapeSpec(tables=((5, 2), (4, 3)), hidden=2, heads=(("a", "b"),))
+    params = init_params(shape, 9)
+    with pytest.raises(NeuralError, match=bad):
+        call(params, tuple(np.array(seq) for seq in ids))
 
 
 # ---------------------------------------------------------------------------
