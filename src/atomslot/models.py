@@ -458,16 +458,11 @@ def _run_candidate(ci, lr, start, encoded, valid_f1, config: TrainingConfig,
             # an overflow is found by the checks below, not reported by numpy
             with np.errstate(all="ignore"):
                 for i in order:
-                    ids, gold = encoded[i]
                     masks = neural.make_dropout_masks(
-                        rng, config.dropout, _item_length(ids),
+                        rng, config.dropout, _item_length(encoded[i][0]),
                         params.input_dim, params.hidden,
                     )
-                    loss, grads = neural.loss_and_gradients(
-                        params, [(ids, gold)], [masks] if masks is not None else None
-                    )
-                    neural.sgd_step(params, grads, lr)
-                    total += loss
+                    total += neural.sgd_step(params, encoded[i], masks, lr)
         except neural.NonFiniteGradient:
             diverged = True
         else:
@@ -542,8 +537,7 @@ def _valid_f1(model: TaggerModel, stage: str, valid_corpus: Corpus, params) -> f
 _CANDIDATE_CALLS = {
     (module, name): getattr(module, name)
     for module, names in (
-        (neural, ("init_params", "make_dropout_masks", "loss_and_gradients",
-                  "sgd_step", "sequence_loss")),
+        (neural, ("init_params", "make_dropout_masks", "sgd_step", "sequence_loss")),
         (sys.modules[__name__], ("predict_corpus", "evaluate")),
     )
     for name in names

@@ -11,7 +11,9 @@ input width D and hidden size H:
     head weights  w      (C, 2H)   one softmax head per labeling task
 
 Every parameter of a model lives in one contiguous float64 buffer (see
-``ModelParams``), and so does every gradient.  The training kernel keeps its
+``ModelParams``), and so does every gradient ``loss_and_gradients``
+returns.  Training forms no such gradient: ``sgd_step`` updates each block
+in place from the backward pass's factors.  The training kernel keeps its
 per-step states time-major, and its gates gate-major, in a workspace reused
 across calls (``_Workspace``), so that each step reads and writes one
 contiguous block per operand.  Everything is seeded.  The
@@ -682,6 +684,15 @@ def _joined(parts: list, axis: int = 0) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
+def _check_gold(gold: np.ndarray, classes: int, where: str) -> None:
+    """Each id of ``gold`` (int64) is a class of its head; a negative id
+    would otherwise train the head's last class."""
+    # as unsigned, a negative id is larger than any class count
+    if len(gold) and gold.view(np.uint64).max() >= classes:
+        bad = gold[(gold < 0) | (gold >= classes)][0]
+        raise NeuralError(f"{where}: label id {bad} is not one of its {classes} classes")
+
+
 def sequence_loss(params: ModelParams, batch: Sequence[tuple]) -> float:
     """Summed cross-entropy over a batch, forward only, dropout off."""
     total = 0.0
@@ -696,8 +707,99 @@ def sequence_loss(params: ModelParams, batch: Sequence[tuple]) -> float:
         for j, head_rows in enumerate(params.head_rows):
             gold = np.concatenate([np.asarray(item[j], dtype=np.int64) for item in labels])
             logp = log_softmax(logits[:, head_rows])
+            _check_gold(gold, logp.shape[1], f"head {j}")
             total -= float(logp[rows, gold].sum())
     return total
+
+
+class _Factors(NamedTuple):
+    """One item's forward and backward pass: every gradient block is a
+    product or a sum of these.  ``heads_w`` takes dlogits^T head_input and
+    ``heads_b`` the sum of dlogits; ``cells_w[d]`` takes xh[d]^T dz[d] and
+    ``cells_b`` the sum of dz; each table adds its columns of dx at its ids.
+    """
+
+    gold_logp: list[float]  # per head, the summed log-probability of the gold labels
+    dlogits: np.ndarray     # (n, C)
+    head_input: np.ndarray  # (n, 2H)
+    dz: np.ndarray          # (2, n, 4H), each direction in its own time
+    xh: np.ndarray          # (2, n, D + H)
+    dx: np.ndarray          # (n, D)
+    ids: tuple[np.ndarray, ...]
+
+
+def _item_factors(
+    params: ModelParams, b: int, item: tuple, masks: DropoutMasks | None
+) -> _Factors | None:
+    """Batch item ``b`` (token ids and one gold id array per head) forward
+    and back, or None when it has no tokens.  Ids outside their table or
+    head, and labels that do not match the heads or the length, raise
+    NeuralError."""
+    ids, labels = item
+    seqs = _normalize_ids(params, ids)
+    _check_rows(params, seqs)
+    n = len(seqs[0])
+    if n == 0:
+        return None
+    if len(labels) != len(params.heads):
+        raise NeuralError(
+            f"batch item {b}: {len(labels)} label sequences for {len(params.heads)} heads"
+        )
+    xs = np.concatenate(
+        [table.weights[seq] for table, seq in zip(params.tables, seqs)], axis=1
+    )
+    if masks is not None:
+        xs = xs * masks.input
+    cells = _run_cells(params, xs[:, None])
+    head_input = cells.features()[:, 0]
+    if masks is not None:
+        head_input = head_input * masks.features
+    rows = np.arange(n)
+    # every head's logits come from one product over the stacked heads
+    dlogits = head_input @ params.heads_w.T + params.heads_b
+    gold_logp = []
+    for j, gold in enumerate(labels):
+        gold = np.asarray(gold, dtype=np.int64)
+        if len(gold) != n:
+            raise NeuralError(
+                f"batch item {b}, head {j}: {len(gold)} labels for {n} positions"
+            )
+        segment = dlogits[:, params.head_rows[j]]
+        _check_gold(gold, segment.shape[1], f"batch item {b}, head {j}")
+        logp = log_softmax(segment)
+        gold_logp.append(float(logp[rows, gold].sum()))
+        np.exp(logp, out=segment)
+        segment[rows, gold] -= 1.0
+    dfeats = dlogits @ params.heads_w
+    if masks is not None:
+        dfeats *= masks.features
+    dz, xh, dx = _backprop_cells(params, cells, dfeats[:, None])
+    dx = dx[:, 0]
+    if masks is not None:
+        dx *= masks.input
+    return _Factors(gold_logp, dlogits, head_input, dz, xh, dx, seqs)
+
+
+def _gradients(params: ModelParams, factors: list[_Factors]) -> ModelParams:
+    """The items' summed gradients in the parameters' layout, over one new
+    buffer; every weight gradient is one product over all their positions."""
+    grads = params.zeros_like()
+    if not factors:
+        return grads
+    dlogits = _joined([f.dlogits for f in factors])
+    dz = _joined([f.dz for f in factors], axis=1)
+    dx = _joined([f.dx for f in factors])
+    np.matmul(dlogits.T, _joined([f.head_input for f in factors]), out=grads.heads_w)
+    np.sum(dlogits, axis=0, out=grads.heads_b)
+    xh = _joined([f.xh for f in factors], axis=1)
+    np.matmul(xh.transpose(0, 2, 1), dz, out=grads.cells_w)
+    np.sum(dz, axis=1, out=grads.cells_b)
+    offset = 0
+    for k, table in enumerate(grads.tables):
+        ids = _joined([f.ids[k] for f in factors])
+        np.add.at(table.weights, ids, dx[:, offset:offset + table.cols])
+        offset += table.cols
+    return grads
 
 
 def loss_and_gradients(
@@ -714,91 +816,108 @@ def loss_and_gradients(
     gradients come back in the parameters' layout, over one new buffer.
     Frozen embedding rows get their gradient too; ``sgd_step`` skips them.
 
-    Each item runs forward and back on its own; every weight gradient is
-    then one product over the positions of the whole batch.
+    Each item runs forward and back on its own (``_item_factors``, as in
+    ``sgd_step``); every weight gradient is then one product over the
+    positions of the whole batch.
     """
-    grads = params.zeros_like()
     total = 0.0
-    dlogits_all, head_in_all, dz_all, xh_all, dx_all, ids_all = [], [], [], [], [], []
-    for b, (ids, labels) in enumerate(batch):
-        seqs = _normalize_ids(params, ids)
-        _check_rows(params, seqs)
-        n = len(seqs[0])
-        if n == 0:
-            continue
-        if len(labels) != len(params.heads):
-            raise NeuralError(
-                f"batch item {b}: {len(labels)} label sequences for "
-                f"{len(params.heads)} heads"
-            )
-        item_masks = masks[b] if masks is not None else None
-        xs = np.concatenate(
-            [table.weights[seq] for table, seq in zip(params.tables, seqs)], axis=1
-        )
-        if item_masks is not None:
-            xs = xs * item_masks.input
-        cells = _run_cells(params, xs[:, None])
-        head_input = cells.features()[:, 0]
-        if item_masks is not None:
-            head_input = head_input * item_masks.features
-        rows = np.arange(n)
-        # every head's logits come from one product over the stacked heads
-        dlogits = head_input @ params.heads_w.T + params.heads_b
-        for j, gold in enumerate(labels):
-            gold = np.asarray(gold, dtype=np.int64)
-            if len(gold) != n:
-                raise NeuralError(
-                    f"batch item {b}, head {j}: {len(gold)} labels for {n} positions"
-                )
-            segment = dlogits[:, params.head_rows[j]]
-            logp = log_softmax(segment)
-            total -= float(logp[rows, gold].sum())
-            np.exp(logp, out=segment)
-            segment[rows, gold] -= 1.0
-        dfeats = dlogits @ params.heads_w
-        if item_masks is not None:
-            dfeats *= item_masks.features
-        dz, xh, dx = _backprop_cells(params, cells, dfeats[:, None])
-        dx = dx[:, 0]
-        if item_masks is not None:
-            dx *= item_masks.input
-        dlogits_all.append(dlogits)
-        head_in_all.append(head_input)
-        dz_all.append(dz)
-        xh_all.append(xh)
-        dx_all.append(dx)
-        ids_all.append(seqs)
-    if not dz_all:
-        return total, grads
-    dlogits, dz, dx = _joined(dlogits_all), _joined(dz_all, axis=1), _joined(dx_all)
-    np.matmul(dlogits.T, _joined(head_in_all), out=grads.heads_w)
-    np.sum(dlogits, axis=0, out=grads.heads_b)
-    np.matmul(_joined(xh_all, axis=1).transpose(0, 2, 1), dz, out=grads.cells_w)
-    np.sum(dz, axis=1, out=grads.cells_b)
-    offset = 0
-    for k, table in enumerate(grads.tables):
-        ids = _joined([item[k] for item in ids_all])
-        np.add.at(table.weights, ids, dx[:, offset:offset + table.cols])
-        offset += table.cols
-    return total, grads
+    factors = []
+    for b, item in enumerate(batch):
+        f = _item_factors(params, b, item, masks[b] if masks is not None else None)
+        if f is not None:
+            for logp in f.gold_logp:
+                total -= logp
+            factors.append(f)
+    return total, _gradients(params, factors)
 
 
-def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
-    """In-place SGD update; frozen embedding rows are left untouched.
+# bytes of ``cells_w`` updated per product in ``sgd_step``: the chunk's
+# product and the rows it updates stay in L2, and the product stays under
+# glibc's 128 KiB mmap threshold, so it is not mapped afresh every step
+_CHUNK_BYTES = 100_000
+# a bound on |xh^T dz| at or below this leaves room for the rounding of
+# its sums, so the product it bounds is finite
+_PRODUCT_BOUND = np.finfo(np.float64).max / 4
 
-    The whole gradient is checked before anything is written, so a
-    non-finite gradient leaves every parameter as it was.
+
+def _row_chunks(w: np.ndarray) -> list[slice]:
+    """Row chunks of ``w`` (one cell's W^T) of at most ``_CHUNK_BYTES``,
+    the last one widened rather than left with a single row: numpy
+    multiplies a single row by another BLAS routine, whose sums can differ
+    in the last bit from the whole product's."""
+    step = max(2, _CHUNK_BYTES // w[0].nbytes)
+    edges = [*range(0, max(len(w) - 1, 1), step), len(w)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _raise_if_nonfinite(grads: ModelParams) -> None:
+    """NonFiniteGradient naming the first block of ``grads`` that holds a
+    NaN or an infinity where SGD would write it: frozen rows do not count."""
+    frozen = {f"table{k}": t.frozen_rows for k, t in enumerate(grads.tables)}
+    for name, block in grads.blocks():
+        if not np.isfinite(block[frozen.get(name, 0):]).all():
+            raise NonFiniteGradient(f"non-finite gradient in block {name}")
+
+
+def sgd_step(
+    params: ModelParams, item: tuple, masks: DropoutMasks | None, learning_rate: float
+) -> float:
+    """One SGD step on one batch item, in place; returns the item's loss.
+
+    The item runs forward and back as in ``loss_and_gradients``, and each
+    block is then updated from the backward pass's factors, so no
+    gradient as large as the parameters is formed.  The cells' weights
+    are updated a few rows at a time (``_row_chunks``),
+    ``W^T[rows] -= lr * (xh^T[rows] @ dz)``, so that each chunk's product
+    and the rows it updates stay in cache; the biases and heads take their
+    small products whole, and each table a dense gradient over its
+    trainable rows (frozen rows are never written).  Every value equals,
+    bit for bit, ``loss_and_gradients`` followed by ``p -= lr * g``.
+
+    Nothing is written unless every gradient entry is finite.  The cells'
+    weight gradient is not formed for that: each of its entries is a sum
+    of n products, so n max|xh| max|dz| bounds it; the other blocks are
+    proved finite by finite sums.  Only when a bound or a sum fails is the
+    whole gradient formed and checked entry by entry, so a finite gradient
+    whose sums overflow is still applied.  A non-finite one raises
+    NonFiniteGradient naming its first such block and leaves every
+    parameter as it was.
     """
-    g = grads.buffer
-    # a finite sum of squares proves every entry finite; otherwise look
-    # closer, since squares of finite entries can overflow
-    if not np.isfinite(g @ g) and not np.isfinite(g).all():
-        name = next(name for name, block in grads.blocks() if not np.isfinite(block).all())
-        raise NonFiniteGradient(f"non-finite gradient in block {name}")
-    p = params.buffer
-    for span in params.trainable:
-        p[span] -= learning_rate * g[span]
-    return params
+    f = _item_factors(params, 0, item, masks)
+    if f is None:
+        return 0.0
+    loss = 0.0
+    for logp in f.gold_logp:
+        loss -= logp
+    heads_w = f.dlogits.T @ f.head_input
+    heads_b = f.dlogits.sum(axis=0)
+    cells_b = f.dz.sum(axis=1)
+    tables, offset = [], 0
+    for table, ids in zip(params.tables, f.ids):
+        dx = f.dx[:, offset:offset + table.cols]
+        offset += table.cols
+        if table.frozen_rows:
+            live = ids >= table.frozen_rows
+            ids, dx = ids[live] - table.frozen_rows, dx[live]
+        grad = np.zeros((table.rows - table.frozen_rows, table.cols))
+        np.add.at(grad, ids, dx)
+        tables.append(grad)
+    bound = f.dz.shape[1] * np.abs(f.xh).max() * np.abs(f.dz).max()
+    if not (bound <= _PRODUCT_BOUND
+            and all(np.isfinite(g.sum()) for g in (*tables, cells_b, heads_w, heads_b))):
+        _raise_if_nonfinite(_gradients(params, [f]))
+    for table, grad in zip(params.tables, tables):
+        table.weights[table.frozen_rows:] -= learning_rate * grad
+    for d, w in enumerate(params.cells_w):
+        xh_t = f.xh[d].T
+        for rows in _row_chunks(w):
+            step = xh_t[rows] @ f.dz[d]
+            step *= learning_rate
+            w[rows] -= step
+    params.cells_b -= learning_rate * cells_b
+    params.heads_w -= learning_rate * heads_w
+    params.heads_b -= learning_rate * heads_b
+    return loss
 
 
 # ---------------------------------------------------------------------------

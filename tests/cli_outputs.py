@@ -1,6 +1,7 @@
 """Run every ``atomslot`` subcommand once, with tiny settings, into OUT.
 
     python tests/cli_outputs.py OUT
+    python tests/cli_outputs.py OUT --sha256 > tests/data/cli_outputs.sha256
 
 The commands run in process through ``cli.run_command``, and this
 checkout's ``src/`` comes first on ``sys.path``, so a copy of the script
@@ -10,11 +11,20 @@ turn, keeping the first tree aside, then ``diff -r`` the two trees: a
 change that keeps the command line's behaviour leaves every file equal.
 What each command prints lands in ``OUT/stdout/``.  The script exits 1
 when a command returns non-zero, naming it.
+
+With ``--sha256`` it then prints one ``digest  path`` line per file, in
+path order, with OUT replaced by ``<OUT>`` inside each file before it is
+hashed, so that the digests do not depend on where OUT is.
+``tests/data/cli_outputs.sha256`` holds them, and
+``tests/test_cli.py::test_cli_outputs_match_the_pinned_digests`` checks
+every file against it; a change that moves an output on purpose
+regenerates it with the second command above.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -104,7 +114,24 @@ def main(out: Path) -> int:
     return 0
 
 
+def digests(out: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``out`` by relative path, with ``out``
+    replaced by ``<OUT>`` inside each file (manifests and some stdout
+    record absolute paths)."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(
+            path.read_bytes().replace(str(out).encode(), b"<OUT>")
+        ).hexdigest()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3) or sys.argv[2:] not in ([], ["--sha256"]):
         sys.exit(__doc__)
-    sys.exit(main(Path(os.path.abspath(sys.argv[1]))))
+    out = Path(os.path.abspath(sys.argv[1]))
+    code = main(out)
+    if code == 0 and sys.argv[2:]:
+        for rel, digest in digests(out).items():
+            print(f"{digest}  {rel}")
+    sys.exit(code)

@@ -655,6 +655,26 @@ def test_cli_outputs_script_reruns_byte_identically(tmp_path):
                         "eval", "gradcheck", "curve"}
 
 
+def test_cli_outputs_match_the_pinned_digests(tmp_path):
+    """Every file ``tests/cli_outputs.py`` writes, ``.npy`` parameters
+    included, hashes as pinned in ``tests/data/cli_outputs.sha256``, with
+    the out path normalised (see the script).  The parameters are pinned
+    exactly, so another BLAS build may need the pin regenerated."""
+    script = Path(__file__).with_name("cli_outputs.py")
+    done = subprocess.run([sys.executable, str(script), str(tmp_path / "out"), "--sha256"],
+                          check=True, capture_output=True, text=True)
+    pin = Path(__file__).parent / "data" / "cli_outputs.sha256"
+
+    def by_path(text):
+        return {rel: digest for digest, rel in (line.split("  ", 1) for line in text.splitlines())}
+
+    written, pinned = by_path(done.stdout), by_path(pin.read_text())
+    assert len(pinned) == 187
+    differ = sorted(rel for rel in written.keys() | pinned.keys()
+                    if written.get(rel) != pinned.get(rel))
+    assert not differ, f"{len(differ)} files differ from the pin: {differ}"
+
+
 def test_synth_has_no_role_flag(tmp_path, capsys):
     # a corpus carries no role; the flag that passes it says what it is for
     assert run_command(["synth", "--role", "test", "--out", str(tmp_path / "o")]) == 1

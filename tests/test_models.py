@@ -339,27 +339,28 @@ def test_train_ac_and_acd_reject_tags_outside_ontology():
 
 def _poisoned_training(monkeypatch, poison):
     """Train JS over a three-rate grid for two epochs; ``poison(k)`` says
-    whether the k-th gradient (0-based) gets a NaN in its last entry.
-    Returns the log, and per poisoned call the parameters and a copy of
-    them taken before the SGD step."""
+    whether the k-th step's factors (0-based) get a NaN in their last
+    logit gradient, and so in the gradient's last entry.  Returns the log,
+    and per poisoned step the parameters and a copy of them taken before
+    the update."""
     ontology = target_ontology()
     corpus, valid = prepared_target()
     config = TrainingConfig(
         epochs=2, dropout=0.0, emb_dim=4, hidden=4, seed=0, lr_grid=(0.01, 0.02, 0.03)
     )
-    real = neural.loss_and_gradients
+    real = neural._item_factors
     calls = []
     poisoned = []
 
-    def loss_and_gradients(params, batch, masks=None):
-        loss, grads = real(params, batch, masks)
+    def item_factors(params, b, item, masks):
+        factors = real(params, b, item, masks)
         if poison(len(calls)):
-            grads.buffer[-1] = np.nan
+            factors.dlogits[-1, -1] = np.nan
             poisoned.append((params, params.buffer.copy()))
         calls.append(1)
-        return loss, grads
+        return factors
 
-    monkeypatch.setattr(neural, "loss_and_gradients", loss_and_gradients)
+    monkeypatch.setattr(neural, "_item_factors", item_factors)
     # the stand-in lives in this process, so the grid trains here
     monkeypatch.setattr(models, "_worker_count", lambda rates: 1)
     _, log = train(JS, ontology, corpus, valid, config)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomslot import neural
 from atomslot.neural import (
     DropoutMasks,
     EmbeddingTable,
@@ -162,7 +163,8 @@ def test_channel_count_and_length_validation():
     lambda params, ids: list(blstm_forward_batch(params, [ids])),
     lambda params, ids: sequence_loss(params, [(ids, [np.zeros(3, dtype=np.int64)])]),
     lambda params, ids: loss_and_gradients(params, [(ids, [np.zeros(3, dtype=np.int64)])]),
-], ids=["blstm_forward_batch", "sequence_loss", "loss_and_gradients"])
+    lambda params, ids: sgd_step(params, (ids, [np.zeros(3, dtype=np.int64)]), None, 0.1),
+], ids=["blstm_forward_batch", "sequence_loss", "loss_and_gradients", "sgd_step"])
 @pytest.mark.parametrize("ids, bad", [
     (([0, 1, -1], [0, 1, 2]), "id -1 is not a row of table 0, which has 5"),
     (([0, 1, 5], [0, 1, 2]), "id 5 is not a row of table 0, which has 5"),
@@ -288,19 +290,21 @@ def test_frozen_rows_get_gradients_but_no_updates():
     batch = [(np.array([0, 1, 5]), (np.array([0, 1, 0]),))]
     _, grads = loss_and_gradients(params, batch)
     assert np.abs(grads.tables[0].weights).sum() > 0.0
-    sgd_step(params, grads, 0.5)
+    sgd_step(params, batch[0], None, 0.5)
     assert np.array_equal(params.tables[0].weights, before)
     assert not np.array_equal(params.cells_w[0], init_params(shape, 2).cells_w[0])
 
 
 def test_sgd_step_closed_form():
-    params = small_params(seed=4)
-    grads = params.zeros_like()
-    grads.cells_b[0] = 2.0
-    expected = params.cells_b[0] - 0.1 * 2.0
-    out = sgd_step(params, grads, 0.1)
-    assert out is params
-    np.testing.assert_allclose(params.cells_b[0], expected, atol=1e-15)
+    """At zero parameters every feature is zero and every class equally
+    likely, so only the head biases have a gradient: n / C - count(c)."""
+    params = zeroed(small_params(seed=4))
+    item = (np.array([1, 2, 3]), (np.array([0, 1, 0]),))
+    loss = sgd_step(params, item, None, 0.1)
+    np.testing.assert_allclose(loss, 3 * math.log(3.0), atol=1e-12)
+    np.testing.assert_allclose(params.heads_b, [0.1, 0.0, -0.1], atol=1e-15)
+    params.heads_b[:] = 0.0
+    assert not params.buffer.any()
 
 
 def test_zeros_like_is_a_fresh_buffer_in_the_same_layout():
@@ -318,12 +322,38 @@ def test_zeros_like_is_a_fresh_buffer_in_the_same_layout():
     assert [h.labels for h in params.copy().heads] == [("a", "b"), ("x", "y", "z")]
 
 
-def test_sgd_rejects_non_finite_gradients():
+def test_sgd_rejects_non_finite_gradients(monkeypatch):
     params = small_params()
-    grads = params.zeros_like()
-    grads.cells_w[1, 0, 0] = np.nan
-    with pytest.raises(NonFiniteGradient):
-        sgd_step(params, grads, 0.1)
+    before = params.buffer.copy()
+    real = neural._item_factors
+
+    def item_factors(*args):
+        factors = real(*args)
+        factors.xh[1, 0, 0] = np.nan  # the backward cell's first weight row
+        return factors
+
+    monkeypatch.setattr(neural, "_item_factors", item_factors)
+    with pytest.raises(NonFiniteGradient, match="bwd.w"):
+        sgd_step(params, (np.array([1, 2]), (np.array([0, 2]),)), None, 0.1)
+    assert np.array_equal(params.buffer, before)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_a_gold_id_outside_its_head_is_refused(bad):
+    """A negative id would train the head's last class, and a large one
+    escape as an IndexError."""
+    shape = ShapeSpec(tables=((9, 4),), hidden=3, heads=(("O", "B", "I"), ("x", "y", "z")))
+    params = init_params(shape, 0)
+    before = params.buffer.copy()
+    item = (np.array([1, 2]), (np.array([0, 1]), np.array([2, bad])))
+    message = f"head 1: label id {bad} is not one of its 3 classes"
+    with pytest.raises(NeuralError, match=message):
+        sequence_loss(params, [item])
+    with pytest.raises(NeuralError, match="batch item 1, " + message):
+        loss_and_gradients(params, [(np.array([4]), (np.array([0]), np.array([0]))), item])
+    with pytest.raises(NeuralError, match=message):
+        sgd_step(params, item, None, 0.1)
+    assert np.array_equal(params.buffer, before)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ time-major and gate-major, direction first with a fresh cache per call,
 reading the same W^T slabs of ``cells_w`` as the kernel does.  The layout
 moved, but every product and elementwise operation kept its order, so
 gradients agree bit for bit.
+
+``sgd_step`` updates the parameters in place from one item's backward
+pass, without forming its gradient.  It must leave them bit for bit as
+``loss_and_gradients`` followed by ``reference_sgd_step`` does.  Tests of
+its finiteness check poison the factors that ``neural._item_factors``
+hands it, after the backward pass and before any update.
 """
 
 import math
@@ -378,12 +384,26 @@ def test_the_reused_workspace_leaves_earlier_results_alone(monkeypatch):
         assert np.array_equal(features, features_then)
 
 
+def poisoning(monkeypatch, poison):
+    """Make every step's factors pass through ``poison`` after the
+    backward pass, before any gradient is formed from them."""
+    real = neural._item_factors
+
+    def item_factors(*args):
+        factors = real(*args)
+        poison(factors)
+        return factors
+
+    monkeypatch.setattr(neural, "_item_factors", item_factors)
+
+
 def test_sgd_step_matches_the_per_block_update():
     rng = np.random.default_rng(4)
     params = init_params(FROZEN, 8)
     reference = params.copy()
-    _, grads = loss_and_gradients(params, [make_item(FROZEN, rng, 5)])
-    sgd_step(params, grads, 0.3)
+    item = make_item(FROZEN, rng, 5)
+    _, grads = loss_and_gradients(params, [item])
+    sgd_step(params, item, None, 0.3)
     reference_sgd_step(reference, dict(grads.blocks()), 0.3)
     assert np.array_equal(params.buffer, reference.buffer)
     # frozen rows got a gradient, but kept their values
@@ -391,16 +411,27 @@ def test_sgd_step_matches_the_per_block_update():
     assert np.array_equal(params.tables[0].weights[:7], init_params(FROZEN, 8).tables[0].weights[:7])
 
 
-def test_sgd_step_with_a_nan_in_the_last_block_changes_nothing():
+def overflow_the_last_bias(factors):
+    """Two logit gradients of 1e308 in the last class: its bias gradient
+    overflows, while its weight gradient, over features of 0.25, stays
+    finite, so only the last block is non-finite."""
+    factors.dlogits[:2, -1] = 1e308
+    factors.head_input[:2] = 0.25
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sgd_step_with_a_nan_in_the_last_block_changes_nothing(monkeypatch):
+    poisoning(monkeypatch, overflow_the_last_bias)
     params = init_params(ONE_TABLE, 9)
     before = params.buffer.copy()
-    grads = params.zeros_like()
-    grads.buffer[:] = 1.0
+    item = make_item(ONE_TABLE, np.random.default_rng(9), 6)
+    _, grads = loss_and_gradients(params, [item])
     name, last = list(grads.blocks())[-1]
     assert name == "head1.b"
-    last[-1] = np.nan
+    assert not np.isfinite(last).all()
+    assert all(np.isfinite(block).all() for _, block in list(grads.blocks())[:-1])
     with pytest.raises(NonFiniteGradient, match="head1.b"):
-        sgd_step(params, grads, 0.1)
+        sgd_step(params, item, None, 0.1)
     assert np.array_equal(params.buffer, before)
     # the per-block update it replaced had already written the blocks ahead
     reference = init_params(ONE_TABLE, 9)
@@ -410,12 +441,69 @@ def test_sgd_step_with_a_nan_in_the_last_block_changes_nothing():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_sgd_step_accepts_finite_gradients_whose_squares_overflow():
+def test_sgd_step_accepts_finite_gradients_whose_squares_overflow(monkeypatch):
+    def huge(factors):
+        factors.dz[0, 0, 0] = 1e308  # fwd.w's first column and fwd.b[0]
+        factors.dx[0, 0] = 1e308     # one entry of a table row
+
+    poisoning(monkeypatch, huge)
     params = init_params(ONE_TABLE, 9)
-    grads = params.zeros_like()
-    grads.buffer[:2] = 1e308
-    sgd_step(params, grads, 1e-300)
+    reference = params.copy()
+    item = make_item(ONE_TABLE, np.random.default_rng(10), 5)
+    _, grads = loss_and_gradients(params, [item])
+    assert np.isfinite(grads.buffer).all()
+    assert not np.isfinite(grads.buffer @ grads.buffer)
+    sgd_step(params, item, None, 1e-300)
     assert np.isfinite(params.buffer).all()
+    reference_sgd_step(reference, dict(grads.blocks()), 1e-300)
+    assert np.array_equal(params.buffer, reference.buffer)
+
+
+# the shapes the model kinds train, at H=5: D + H is 11, or 14 for ACD2
+STEP_SHAPES = {
+    "JS": ShapeSpec(tables=((30, 6),), hidden=5, heads=(tuple("Oabcdefg"),)),
+    "AC": ShapeSpec(tables=((30, 6),), hidden=5,
+                    heads=(("O", "B", "I"), ("null", "a", "b", "c"), ("null", "x", "y"))),
+    "ACD1-stage2": ShapeSpec(tables=((34, 6),), hidden=5, heads=(("null", "x", "y", "z"),),
+                             frozen_rows=(30,)),
+    "ACD2-stage2": ShapeSpec(tables=((30, 6), (4, 3)), hidden=5,
+                             heads=(("null", "x", "y", "z"),), frozen_rows=(30,)),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 5, 64])
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+@pytest.mark.parametrize("kind", list(STEP_SHAPES))
+def test_sgd_step_equals_dense_gradients_then_the_per_block_update(
+    kind, masked, chunk_rows, monkeypatch
+):
+    """Steps of 1, 20 (past the workspace's first capacity of 16) and 7
+    tokens, in cell-weight chunks of 3 and 5 rows, which do not divide
+    D + H, and whole."""
+    shape = STEP_SHAPES[kind]
+    monkeypatch.setattr(neural, "_WORKSPACES", {})
+    monkeypatch.setattr(neural, "_CHUNK_BYTES", chunk_rows * 4 * shape.hidden * 8)
+    rng = np.random.default_rng(chunk_rows)
+    params = init_params(shape, 21, init_range=0.5)
+    reference = params.copy()
+    for n in (1, 20, 7):
+        item = make_item(shape, rng, n)
+        masks = fixed_masks(params, [n], seed=n)[0] if masked else None
+        loss, grads = loss_and_gradients(reference, [item], [masks])
+        reference_sgd_step(reference, dict(grads.blocks()), 0.2)
+        assert sgd_step(params, item, masks, 0.2) == loss
+        assert np.array_equal(params.buffer, reference.buffer), n
+    assert neural._WORKSPACES[shape.hidden, 1].capacity == 20
+    assert not np.array_equal(params.buffer, init_params(shape, 21, init_range=0.5).buffer)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 11, 12, 13, 64, 65])
+def test_row_chunks_cover_every_row_without_a_single_row_chunk(rows, monkeypatch):
+    monkeypatch.setattr(neural, "_CHUNK_BYTES", 4 * 8)
+    chunks = neural._row_chunks(np.zeros((rows, 2)))
+    assert [i for c in chunks for i in range(rows)[c]] == list(range(rows))
+    assert all(c.stop - c.start >= 2 for c in chunks) or rows == 1
+    assert all(c.stop - c.start <= 3 for c in chunks)
 
 
 def test_blocks_are_contiguous_views_of_one_buffer():

@@ -110,7 +110,7 @@ def test_a_gold_id_out_of_range_fails_the_grid_with_its_type(two_cpus):
     start = functools.partial(models._fresh_params, shape, 0.2)
     encoded = [(np.array([2, 3]), (np.array([0, 7]),))]
     config = TrainingConfig(epochs=1, dropout=0.0, lr_grid=(0.1, 0.2))
-    with pytest.raises(IndexError) as caught:
+    with pytest.raises(NeuralError, match="head 0: label id 7") as caught:
         models._fit(start, encoded, abs, config, 0)
     assert "_run_candidate" in str(caught.value.__cause__)
 
