@@ -33,10 +33,7 @@ from .corpus import (
 from .evaluation import (
     EvalError,
     EvalReport,
-    RunSummary,
     SlotCounts,
-    compare_runs,
-    comparison_table,
     evaluate,
     round2,
 )
@@ -91,7 +88,6 @@ from .ontology import (
     ontology_hash,
     read_ontology,
     slot_to_branch,
-    write_ontology,
 )
 from .workers import WorkerLost
 

@@ -8,11 +8,10 @@ half-up rounding; the raw ratios stay available for downstream math.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .corpus import Corpus, iob_to_spans
+from .corpus import Corpus, _check_tags, _chunks
 
 
 class EvalError(Exception):
@@ -132,10 +131,9 @@ def evaluate(reference: Corpus, predicted: Sequence[Sequence[str]]) -> EvalRepor
             )
         n_tokens += len(tags)
         n_correct += sum(a == b for a, b in zip(utterance.tags, tags))
-        ref_chunks = {(s.slot, s.start, s.end) for s in utterance.spans}
-        pred_chunks = {
-            (s.slot, s.start, s.end) for s in iob_to_spans(utterance.tokens, tags)
-        }
+        _check_tags(tags)
+        ref_chunks = set(_chunks(utterance.tags))
+        pred_chunks = set(_chunks(tags))
         for slot, _, _ in ref_chunks:
             per_slot.setdefault(slot, SlotCounts()).reference += 1
             overall.reference += 1
@@ -146,42 +144,3 @@ def evaluate(reference: Corpus, predicted: Sequence[Sequence[str]]) -> EvalRepor
             per_slot[slot].correct += 1
             overall.correct += 1
     return EvalReport(n_tokens, n_correct, overall, per_slot)
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    system: str
-    n_runs: int
-    mean_f1: float
-    std_f1: float
-
-
-def compare_runs(
-    runs: Mapping[str, Sequence],
-) -> list[RunSummary]:
-    """Mean and sample standard deviation of F1 per system.
-
-    Values may be EvalReport objects or plain F1 numbers.  A single run
-    reports a standard deviation of zero.  Rows come back sorted by mean,
-    best first.
-    """
-    rows = []
-    for system, results in runs.items():
-        scores = [r.f1 if isinstance(r, EvalReport) else float(r) for r in results]
-        if not scores:
-            raise EvalError(f"system {system!r} has no runs")
-        mean = statistics.fmean(scores)
-        std = statistics.stdev(scores) if len(scores) > 1 else 0.0
-        rows.append(RunSummary(system, len(scores), mean, std))
-    rows.sort(key=lambda r: (-r.mean_f1, r.system))
-    return rows
-
-
-def comparison_table(rows: Sequence[RunSummary]) -> str:
-    width = max((len(r.system) for r in rows), default=6)
-    lines = [f"{'system':<{width}}  runs  mean F1  stddev"]
-    for r in rows:
-        lines.append(
-            f"{r.system:<{width}}  {r.n_runs:>4}  {round2(r.mean_f1):>7.2f}  {round2(r.std_f1):>6.2f}"
-        )
-    return "\n".join(lines)

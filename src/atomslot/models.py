@@ -33,7 +33,8 @@ from .corpus import (
     Corpus,
     CorpusError,
     TokenVocabulary,
-    iob_to_spans,
+    _check_tags,
+    _chunks,
     parse_tag,
     preprocess,
     subset_corpus,
@@ -196,18 +197,18 @@ def gather_sequence(tokens, iob, dim1, unified: bool):
         "O" if iob[t] == "O" or dim1[t] == NULL_ATOM else f"{iob[t]}-{dim1[t]}"
         for t in range(len(tokens))
     ]
-    spans = {s.start: s for s in iob_to_spans(tokens, pseudo)}
+    _check_tags(pseudo)
+    chunks = {start: (slot, end) for slot, start, end in _chunks(pseudo)}
     gathered: list[str] = []
     groups: list[list[int]] = []
     pos = 0
     while pos < len(tokens):
-        span = spans.get(pos)
-        if span is not None:
-            gathered.append(
-                UNIFIED_CONCEPT_TOKEN if unified else bracket_token(span.slot)
-            )
-            groups.append(list(range(span.start, span.end)))
-            pos = span.end
+        chunk = chunks.get(pos)
+        if chunk is not None:
+            slot, end = chunk
+            gathered.append(UNIFIED_CONCEPT_TOKEN if unified else bracket_token(slot))
+            groups.append(list(range(pos, end)))
+            pos = end
         else:
             gathered.append(tokens[pos])
             groups.append([pos])

@@ -153,7 +153,6 @@ class _Layout(NamedTuple):
     tables: tuple[tuple[slice, tuple[int, int], int], ...]  # span, dims, frozen rows
     stacked: tuple[tuple[slice, tuple[int, ...]], ...]  # cells_w, cells_b, heads_w, heads_b
     head_rows: tuple[slice, ...]
-    trainable: tuple[slice, ...]
 
 
 def _layout(shape: ShapeSpec) -> _Layout:
@@ -161,10 +160,9 @@ def _layout(shape: ShapeSpec) -> _Layout:
     D = sum(cols for _, cols in shape.tables)
     C = sum(len(labels) for labels in shape.heads)
     pos = 0
-    tables, frozen_spans = [], []
+    tables = []
     for (rows, cols), frozen in zip(shape.tables, shape.frozen_rows):
         tables.append((slice(pos, pos + rows * cols), (rows, cols), frozen))
-        frozen_spans += [pos, pos + frozen * cols]
         pos += rows * cols
     stacked = []
     for dims in ((2, D + H, 4 * H), (2, 4 * H), (C, 2 * H), (C,)):
@@ -174,10 +172,7 @@ def _layout(shape: ShapeSpec) -> _Layout:
     for labels in shape.heads:
         head_rows.append(slice(row, row + len(labels)))
         row += len(labels)
-    # SGD updates everything but each table's frozen prefix
-    edges = [0] + frozen_spans + [pos]
-    trainable = tuple(slice(a, b) for a, b in zip(edges[::2], edges[1::2]) if b > a)
-    return _Layout(pos, tuple(tables), tuple(stacked), tuple(head_rows), trainable)
+    return _Layout(pos, tuple(tables), tuple(stacked), tuple(head_rows))
 
 
 class ModelParams:
@@ -220,7 +215,6 @@ class ModelParams:
         ]
         # each head's rows in heads_w and heads_b
         self.head_rows = layout.head_rows
-        self.trainable = layout.trainable
 
     def _over(self, buffer: np.ndarray) -> "ModelParams":
         """The same layout over another buffer."""

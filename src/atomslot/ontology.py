@@ -240,11 +240,6 @@ def format_ontology(ontology: Ontology) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_ontology(ontology: Ontology, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_ontology(ontology))
-
-
 def parse_ontology(text: str) -> Ontology:
     depth = None
     entries: list[tuple[str, tuple[str, ...]]] = []

@@ -76,10 +76,10 @@ def test_synth_is_deterministic(workspace, tmp_path):
 
 
 def test_synth_with_grammar_file(tmp_path):
-    from atomslot.ontology import build_ontology, write_ontology
+    from atomslot.ontology import build_ontology, format_ontology
 
     ontology = build_ontology(1, (("day", ("day",)),))
-    write_ontology(ontology, tmp_path / "ont.txt")
+    (tmp_path / "ont.txt").write_text(format_ontology(ontology))
     (tmp_path / "grammar.txt").write_text(
         "leave on $D\t$D=day\nlexicon\tday\tmonday\nlexicon\tday\tfriday\n"
     )

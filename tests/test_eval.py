@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from atomslot.corpus import Corpus, TaggedUtterance
 from atomslot.evaluation import (
-    EvalError,
-    EvalReport,
     LengthMismatch,
     SlotCounts,
-    compare_runs,
-    comparison_table,
     evaluate,
     round2,
 )
@@ -116,6 +112,13 @@ def test_evaluate_length_mismatches():
         evaluate(reference, [("O",), ("O", "O", "O")])
 
 
+@pytest.mark.parametrize("bad", ["X-city", "B-city\n"])
+def test_evaluate_rejects_malformed_predicted_tags(bad):
+    reference = Corpus((utt("to boston", "O B-city"),))
+    with pytest.raises(ValueError, match="malformed tag"):
+        evaluate(reference, [("O", bad)])
+
+
 def test_report_text_and_machine_lines():
     reference, predicted = worked_example()
     report = evaluate(reference, predicted)
@@ -187,35 +190,3 @@ def test_random_tag_pairs_agree_with_reference_scorer(gold_sets):
         report.overall.predicted,
         report.overall.correct,
     ) == oracle.totals()
-
-
-# ---------------------------------------------------------------------------
-# aggregation across runs
-
-def test_compare_runs_mean_and_stdev():
-    rows = compare_runs({"a": [90.0, 92.0], "b": [95.0]})
-    by_name = {r.system: r for r in rows}
-    assert by_name["a"].mean_f1 == 91.0
-    assert math.isclose(by_name["a"].std_f1, math.sqrt(2.0))
-    assert by_name["a"].n_runs == 2
-    assert by_name["b"].std_f1 == 0.0
-    assert [r.system for r in rows] == ["b", "a"]  # sorted by mean, best first
-
-
-def test_compare_runs_accepts_reports():
-    report = EvalReport(4, 4, SlotCounts(2, 2, 2))
-    rows = compare_runs({"x": [report]})
-    assert rows[0].mean_f1 == 100.0
-
-
-def test_compare_runs_rejects_empty():
-    with pytest.raises(EvalError):
-        compare_runs({"x": []})
-
-
-def test_comparison_table_contains_rows():
-    table = comparison_table(compare_runs({"alpha": [90.0, 91.0], "b": [80.0]}))
-    lines = table.splitlines()
-    assert lines[0].startswith("system")
-    assert lines[1].startswith("alpha")
-    assert "90.50" in lines[1]

@@ -314,7 +314,7 @@ def test_zeros_like_is_a_fresh_buffer_in_the_same_layout():
     for twin in (params.zeros_like(), params.copy()):
         assert twin.shape == params.shape
         assert not np.shares_memory(twin.buffer, params.buffer)
-        assert twin.trainable == params.trainable and twin.head_rows == params.head_rows
+        assert twin._layout is params._layout and twin.head_rows == params.head_rows
         for (name, block), (_, original) in zip(twin.blocks(), params.blocks()):
             assert block.shape == original.shape, name
             assert np.shares_memory(block, twin.buffer), name
