@@ -246,6 +246,13 @@ def test_gather_treats_null_concept_as_outside():
     assert groups == [[0], [1]]
 
 
+@pytest.mark.parametrize("iob, concept", [("X", "city"), ("B", "city\n")])
+def test_gather_rejects_a_malformed_pseudo_tag(iob, concept):
+    # the pseudo tag ``{iob}-{concept}`` is checked before its chunks are read
+    with pytest.raises(ValueError, match="malformed tag"):
+        gather_sequence(["a", "b"], ["O", iob], ["null", concept], unified=False)
+
+
 # ---------------------------------------------------------------------------
 # training
 
